@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .grid import Field2D, GridSpec, isfft1d, sfft1d
-from .symbols import GraphFn, SymbolSpec, custom_symbol
+from .symbols import GraphBranch, GraphFn, SymbolSpec, custom_symbol
 
 __all__ = [
     "HamiltonianFlow",
@@ -128,7 +128,7 @@ class HamiltonianFlow:
         jac = np.zeros(shape + (2, 2))
         jac[..., 0, 0] = 1.0
         jac[..., 1, 1] = 1.0
-        steps = max(1, int(round(x1 / self.dt)))
+        steps = max(1, int(round(abs(x1) / self.dt)))
         dt = x1 / steps
         y, xi, _, _ = _rk4_march(self.graph, y0b.astype(float), xi0b.astype(float),
                                  jac, np.zeros(shape), 0.0, dt, steps)
@@ -156,6 +156,8 @@ def integrate_flow(a_graph: GraphFn, y_init: np.ndarray, xi_init: np.ndarray,
     dt = x1_max / n_steps
     if save_at is None:
         save_at = np.array([0.0, x1_max])
+    if np.any(np.asarray(save_at, dtype=float) < 0):
+        raise ValueError("save_at contains negative times; the flow starts at x1 = 0")
     save_steps = sorted({int(round(t / dt)) for t in np.asarray(save_at, dtype=float)} | {0})
     if save_steps[-1] > n_steps:
         raise ValueError("save_at contains times beyond x1_max")
@@ -250,18 +252,6 @@ class PhaseTable:
             if col not in cols:
                 cols[col] = CubicSpline(self.y_grid, table[:, col])
             out.ravel()[flat_i] = cols[col](yy)
-        return out
-
-    def amp_at(self, x1: float, y, xi):
-        if self.amp is None:
-            return np.ones(np.broadcast(np.asarray(y), np.asarray(xi)).shape)
-        i = self.slice_index(x1)
-        yb, xib = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(xi, dtype=float))
-        out = np.empty(yb.shape)
-        for m, xiv in enumerate(self.xi_grid):
-            mask = np.abs(xib - xiv) < 1e-12
-            if mask.any():
-                out[mask] = np.interp(yb[mask], self.y_grid, self.amp[i][:, m])
         return out
 
     def _check_horizon(self, x1: float) -> None:
@@ -460,7 +450,6 @@ def _pullback_graph_symbol(fn, label: str) -> SymbolSpec:
         return xi1b - fn(x2b, xi2b)
 
     def graph(x, xi0):
-        from .symbols import GraphBranch
         x2f = x[1]
         return GraphBranch(lambda t: fn(x2f, np.asarray(t, dtype=float)), None,
                            label=label)
@@ -487,9 +476,15 @@ def conjugated_symbol(a_graph: GraphFn, q_graph: GraphFn, flow: HamiltonianFlow,
     if x1 < 0 or x1 > flow.x1_values[-1] + 1e-12:
         raise ValueError(f"x1 = {x1} outside the integrated range")
 
+    memo = {}  # one entry: flowed endpoints of the latest exact (x2, xi2), shared by a~ and q~
+
     def pullback(fn):
         def evaluate(x2, xi2):
-            y, xi = flow.evaluate(x2, xi2, x1)
+            x2, xi2 = np.asarray(x2, dtype=float), np.asarray(xi2, dtype=float)
+            key = (x2.shape, x2.tobytes(), xi2.shape, xi2.tobytes())
+            if memo.get("key") != key:
+                memo["key"], memo["yxi"] = key, flow.evaluate(x2, xi2, x1)
+            y, xi = memo["yxi"]
             return np.asarray(fn.value(x1, y, xi), dtype=float)
         return evaluate
 
@@ -505,7 +500,6 @@ def conjugated_symbol(a_graph: GraphFn, q_graph: GraphFn, flow: HamiltonianFlow,
         return xi1b + a_tilde(x2b, xi2b) - q_tilde(x2b, xi2b)
 
     def p2_graph(x, xi0):
-        from .symbols import GraphBranch
         x2f = x[1]
         return GraphBranch(
             lambda t: q_tilde(x2f, np.asarray(t, dtype=float)) - a_tilde(x2f, np.asarray(t, dtype=float)),

@@ -4,7 +4,8 @@ A symbol is evaluated on grids via broadcastable callables; families that are
 graphs xi1 = a(x, xi2) also expose closed-form xi2-derivatives so contact
 order between two characteristic curves can be read off exactly.  When a
 closed form is not available (Newton branches, flow pullbacks) the detection
-falls back to centered finite differences with Richardson extrapolation.
+falls back to centered finite differences with Richardson extrapolation; every
+stencil point is evaluated in one batched call per graph.
 
 Left quantization p(x, hD) acts as a spectral multiplier for x-independent
 symbols and as the direct oscillatory quadrature
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Field2D, GridSpec, SpectralField2D, semiclassical_fft, semiclassical_ifft
+from .grid import Field2D, SpectralField2D, semiclassical_fft, semiclassical_ifft
 
 __all__ = [
     "GraphFn",
@@ -173,11 +174,7 @@ def graph_parabola(coeff: float = 1.0) -> GraphFn:
 def graph_flat() -> GraphFn:
     """a = 0: the straightened branch xi1 = 0."""
 
-    def deriv(x1, x2, xi2, order):
-        if order == 0:
-            return np.zeros_like(np.asarray(xi2, dtype=float))
-        return np.zeros_like(np.asarray(xi2, dtype=float))
-
+    deriv = lambda x1, x2, xi2, order: np.zeros_like(np.asarray(xi2, dtype=float))
     zero = lambda x1, x2, xi2: np.zeros(np.broadcast(x1, x2, xi2).shape)
     return GraphFn("flat", zero, zero, zero, zero, zero, zero, False, deriv)
 
@@ -354,14 +351,16 @@ class NewtonBranch(GraphBranch):
         xi2 = np.atleast_1d(xi2)
         x1, x2 = self.x
         xi1 = np.full(xi2.shape, float(self.xi1_start))
-        for _ in range(self.max_iter):
-            r = np.asarray(self.sym.value(x1, x2, xi1, xi2), dtype=complex).real
-            if np.max(np.abs(r)) <= self.tol:
+        real = lambda f: np.broadcast_to(np.asarray(f(x1, x2, xi1, xi2), dtype=complex).real, xi1.shape)
+        for _ in range(self.max_iter):  # per-point stopping: a value does not depend on its batch
+            r = real(self.sym.value)
+            todo = ~(np.abs(r) <= self.tol)
+            if not todo.any():
                 break
-            dp = np.asarray(self.sym.xi1_partial(x1, x2, xi1, xi2), dtype=complex).real
+            dp = real(self.sym.xi1_partial)[todo]
             if np.any(np.abs(dp) < 1e-14):
                 raise ValueError("Newton branch: vanishing d p / d xi1 (no graph here)")
-            xi1 = xi1 - r / dp
+            xi1[todo] -= r[todo] / dp
         else:
             raise ValueError("Newton branch did not converge")
         return float(xi1[0]) if scalar else xi1
@@ -383,9 +382,6 @@ class SymbolSpec:
     xi1_partial: Callable = None
     xi2_partial: Callable = None
     _graph: Callable = None  # (x, xi0) -> GraphBranch
-
-    def xi_gradient(self, x1, x2, xi1, xi2):
-        return self.xi1_partial(x1, x2, xi1, xi2), self.xi2_partial(x1, x2, xi1, xi2)
 
     def graph(self, x=(0.0, 0.0), xi0=None) -> GraphBranch:
         if self._graph is None:
@@ -569,16 +565,26 @@ def contact_order(a_sym: SymbolSpec, q_sym: SymbolSpec, xi0, max_order: int,
 
     k = (order of the first non-vanishing xi2-derivative of g1 - g2) - 1.
     Derivatives within [tol_r/10, tol_r] of the vanishing threshold flag the
-    report inconclusive rather than silently classifying.
+    report inconclusive rather than silently classifying.  The stencils of
+    every order and both Richardson steps are evaluated in one batched call per graph.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     g1 = a_sym.graph(x=x, xi0=xi0)
     g2 = q_sym.graph(x=x, xi0=xi0)
     t0 = float(xi0[1])
+    steps = (_FD_STEPS[0], _FD_STEPS[0] / 2.0)
+    pts = np.array(sorted({t0} | {t0 + (r / 2.0 - i) * s for s in steps
+                                  for r in range(1, max_order + 2) for i in range(r + 1)}))
 
-    gap = abs(float(g1(t0)) - float(g2(t0)))
-    scale0 = 1.0 + abs(float(g1(t0)))
+    def tabulate(g):
+        vals = np.broadcast_to(np.asarray(g(pts), dtype=float), pts.shape)
+        return dict(zip(pts.tolist(), vals.tolist()))
+
+    v1, v2 = tabulate(g1), tabulate(g2)
+
+    gap = abs(v1[t0] - v2[t0])
+    scale0 = 1.0 + abs(v1[t0])
     if gap > tol * scale0:
         raise ContactError(
             f"graphs of {a_sym.label} and {q_sym.label} do not intersect at {tuple(xi0)} "
@@ -586,10 +592,10 @@ def contact_order(a_sym: SymbolSpec, q_sym: SymbolSpec, xi0, max_order: int,
         )
 
     def diff(t):
-        return float(g1(t)) - float(g2(t))
+        return v1[t] - v2[t]
 
     table = []
-    scales = [abs(float(g1(t0)))]
+    scales = [abs(v1[t0])]
     inconclusive = False
     order_found = None
     first_nonzero = 0.0
@@ -598,12 +604,10 @@ def contact_order(a_sym: SymbolSpec, q_sym: SymbolSpec, xi0, max_order: int,
         d2r = g2.derivative(t0, r)
         if d1r is not None and d2r is not None:
             dr = float(d1r) - float(d2r)
-            scales.append(abs(float(d1r)))
         else:
             dr = _richardson_derivative(diff, t0, r)
-            s1 = g1.derivative(t0, r)
-            scales.append(abs(float(s1)) if s1 is not None
-                          else abs(_richardson_derivative(lambda t: float(g1(t)), t0, r)))
+        scales.append(abs(float(d1r)) if d1r is not None
+                      else abs(_richardson_derivative(v1.__getitem__, t0, r)))
         table.append(dr)
         tol_r = tol * (1.0 + max(scales))
         if abs(dr) > tol_r:
@@ -615,7 +619,7 @@ def contact_order(a_sym: SymbolSpec, q_sym: SymbolSpec, xi0, max_order: int,
 
     curv = g1.derivative(t0, 2)
     if curv is None:
-        curv = _richardson_derivative(lambda t: float(g1(t)), t0, 2)
+        curv = _richardson_derivative(v1.__getitem__, t0, 2)
     return ContactReport(
         xi0=(float(xi0[0]), float(xi0[1])),
         order=math.inf if order_found is None else order_found,

@@ -9,6 +9,7 @@ import pytest
 from qmlab.grid import Field2D, GridSpec
 from qmlab.propagator import (
     CausticError,
+    HamiltonianFlow,
     analytic_phase_table,
     apply_w,
     apply_w_star,
@@ -20,6 +21,7 @@ from qmlab.propagator import (
 )
 from qmlab.quasimodes import build_graph_adapted_quasimode, defect, plane_wave
 from qmlab.symbols import (
+    ContactReport,
     GraphFn,
     contact_order,
     graph_circle,
@@ -92,6 +94,19 @@ class TestFlow:
         y, xi = fl.evaluate(Y, XI, 0.3)
         assert np.max(np.abs(y - fl.y_of[-1])) <= 1e-12
         assert np.max(np.abs(xi - fl.xi_of[-1])) <= 1e-12
+
+    def test_negative_save_time_refused(self):
+        # a snapshot labelled x1 = -0.1 used to hold the x1 = 0 state
+        with pytest.raises(ValueError, match="negative"):
+            integrate_flow(graph_shear(), np.array([1.0]), np.array([0.0]), 0.2,
+                           dt=1e-3, save_at=[-0.1, 0.1, 0.2])
+
+    def test_evaluate_backward_matches_closed_form(self):
+        fl = integrate_flow(graph_shear(), np.array([1.0]), np.array([0.0]), 0.3, dt=1e-3)
+        y_fwd, _ = fl.evaluate(1.0, 0.0, 0.3)
+        y_back, _ = fl.evaluate(1.0, 0.0, -0.3)
+        assert abs(y_fwd - math.exp(0.3)) <= 1e-12
+        assert abs(y_back - math.exp(-0.3)) <= 1e-12
 
 
 class TestPhase:
@@ -257,6 +272,74 @@ class TestConjugation:
         rep = contact_order(a_t, q_t, xi0, max_order=k + 2, x=(x1, 0.0))
         assert rep.order == k
         assert not rep.inconclusive
+
+
+def scalar_contact_oracle(g1, g2, xi0, max_order, tol=1e-8):
+    """Pointwise Richardson contact check for graphs without closed-form derivatives."""
+    t0 = xi0[1]
+
+    def rich(fn, r):
+        def fd(step):
+            acc = 0.0
+            for i in range(r + 1):
+                acc += (-1.0) ** i * math.comb(r, i) * fn(t0 + (r / 2.0 - i) * step)
+            return acc / step ** r
+        return (4.0 * fd(1e-2 / 2.0) - fd(1e-2)) / 3.0
+
+    f1 = lambda t: float(g1(t))
+    diff = lambda t: float(g1(t)) - float(g2(t))
+    table, scales = [], [abs(f1(t0))]
+    order, first, inconclusive = math.inf, 0.0, False
+    for r in range(1, max_order + 2):
+        dr = rich(diff, r)
+        scales.append(abs(rich(f1, r)))
+        table.append(dr)
+        tol_r = tol * (1.0 + max(scales))
+        if abs(dr) > tol_r:
+            order, first = r - 1, dr
+            break
+        inconclusive |= tol_r / 10.0 <= abs(dr) <= tol_r
+    return ContactReport(xi0=tuple(xi0), order=order, first_nonzero_derivative=first,
+                         derivative_table=tuple(table), curvature=abs(rich(f1, 2)),
+                         inconclusive=inconclusive)
+
+
+class TestBatchedContact:
+    """contact_order on pullbacks: one shared flow integration, same report as pointwise."""
+
+    x1 = 0.1
+
+    @pytest.fixture
+    def pullbacks(self):
+        a_g = graph_tilted_circle(0.1)
+        q_g = graph_sum(a_g, graph_monomial(1, 1.0))
+        fl = integrate_flow(a_g, np.linspace(-1.5, 1.5, 33), np.linspace(-0.5, 0.5, 17),
+                            self.x1, dt=1e-3, save_at=[self.x1])
+        return conjugated_symbol(a_g, q_g, fl, self.x1)[:2]
+
+    def test_one_flow_evaluation(self, pullbacks, monkeypatch):
+        calls = []
+        original = HamiltonianFlow.evaluate
+
+        def counting(flow, y0, xi0, x1):
+            calls.append(x1)
+            return original(flow, y0, xi0, x1)
+
+        monkeypatch.setattr(HamiltonianFlow, "evaluate", counting)
+        a_t, q_t = pullbacks
+        xi0 = (float(a_t.graph(x=(self.x1, 0.0))(0.0)), 0.0)
+        assert len(calls) == 1
+        rep = contact_order(a_t, q_t, xi0, max_order=3, x=(self.x1, 0.0))
+        assert rep.order == 1
+        assert len(calls) <= 2
+
+    def test_matches_pointwise_oracle(self, pullbacks):
+        a_t, q_t = pullbacks
+        x = (self.x1, 0.0)
+        xi0 = (float(a_t.graph(x=x)(0.0)), 0.0)
+        rep = contact_order(a_t, q_t, xi0, max_order=3, x=x)
+        oracle = scalar_contact_oracle(a_t.graph(x=x), q_t.graph(x=x), xi0, 3)
+        assert rep == oracle
 
 
 class TestPushforward:

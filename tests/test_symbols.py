@@ -141,6 +141,18 @@ class TestGraphOf:
                     lo = mid
             assert val == pytest.approx((lo + hi) / 2, abs=1e-10)
 
+    def test_newton_branch_batch_equals_pointwise(self):
+        # contact_order solves all stencil points in one call; each value must
+        # be the one a scalar solve gives
+        sym = custom_symbol(
+            lambda x1, x2, xi1, xi2: np.asarray(xi1) + np.asarray(xi1) ** 3 - np.asarray(xi2) ** 2,
+            label="cubic_square",
+            xi1_partial=lambda x1, x2, xi1, xi2: 1 + 3 * np.asarray(xi1) ** 2 + 0.0 * np.asarray(xi2),
+        )
+        br = graph_of(sym)
+        t = np.linspace(-0.02, 0.02, 9)
+        np.testing.assert_array_equal(br(t), [br(v) for v in t])
+
 
 def spectral_laplacian_oracle(u: Field2D):
     """(-h^2 Lap - 1) u via plain per-axis FFT differentiation."""
