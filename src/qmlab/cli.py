@@ -12,16 +12,15 @@ error, 2 assertion failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from importlib import resources
 
 import numpy as np
 
-from . import estimates, quasimodes, reporting, symbols, wavelets
+from . import estimates, quasimodes, reporting, wavelets
 from .config import ConfigError, parse_config, parse_graph_expr, parse_symbol_expr, run
-from .grid import GridSpec, export_modulus_csv, lp_norm, read_field, write_field
+from .grid import GridSpec, read_field, write_field
 from .propagator import analytic_phase_table, apply_w, quasimode_pushforward
 
 __all__ = ["main", "shipped_config_names", "load_shipped_config"]
@@ -70,15 +69,11 @@ def _cmd_construct(args) -> int:
 def _cmd_defect(args) -> int:
     fld = read_field(args.infile)
     p1 = parse_symbol_expr(args.symbol)
-    rows = []
-    pairs = [(args.m1, args.m2)]
-    for m1, m2 in pairs:
-        if args.symbol2:
-            rep = quasimodes.joint_defect(p1, parse_symbol_expr(args.symbol2), fld, m1, m2)
-        else:
-            rep = quasimodes.defect(p1, fld, max(m1, 1))
-        rows.append((fld.grid.h, args.alpha, rep))
-    text = reporting.defect_csv(rows)
+    if args.symbol2:
+        rep = quasimodes.joint_defect(p1, parse_symbol_expr(args.symbol2), fld, args.m1, args.m2)
+    else:
+        rep = quasimodes.defect(p1, fld, max(args.m1, 1))
+    text = reporting.defect_csv([(fld.grid.h, args.alpha, rep)])
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)

@@ -51,12 +51,20 @@ class ConfigError(ValueError):
 
 _EXPR_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:\((.*)\))?\s*$")
 
+
+def _integer(key: str, value: float) -> int:
+    """An integer parameter; a fractional value is refused, never truncated."""
+    if not float(value).is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 _SYMBOL_FACTORIES = {
     "circle_minus_one": lambda: symbols.circle_minus_one(),
-    "contact_circle": lambda k, c: symbols.contact_perturbed_circle(int(k), float(c)),
-    "flat_contact": lambda k, c: symbols.flat_contact(int(k), float(c)),
+    "contact_circle": lambda k, c: symbols.contact_perturbed_circle(_integer("k", k), float(c)),
+    "flat_contact": lambda k, c: symbols.flat_contact(_integer("k", k), float(c)),
     "xi1": lambda: symbols.xi1_symbol(),
-    "xi2_power": lambda m: symbols.xi2_power_symbol(int(m)),
+    "xi2_power": lambda m: symbols.xi2_power_symbol(_integer("m", m)),
 }
 
 
@@ -86,7 +94,7 @@ def parse_symbol_expr(text: str) -> symbols.SymbolSpec:
 def parse_graph_expr(text: str) -> symbols.GraphFn:
     """Graph generator from the same notation (catalog names)."""
     name, kwargs = _parse_call(text)
-    kwargs = {k: (int(v) if k == "k" else v) for k, v in kwargs.items()}
+    kwargs = {k: (_integer(k, v) if k == "k" else v) for k, v in kwargs.items()}
     return graph_catalog(name, **kwargs)
 
 
@@ -263,7 +271,9 @@ def parse_config(text: str) -> ExperimentConfig:
     h_list = experiment.get("h_list", [])
     if not isinstance(h_list, list):
         h_list = [h_list]
-    h_list = [float(h) for h in h_list if isinstance(h, (int, float))]
+    if bad := [h for h in h_list if isinstance(h, (bool, str))]:
+        errors.append(f"experiment.h_list: tokens that are not numbers: {bad}")
+    h_list = [float(h) for h in h_list if not isinstance(h, (bool, str))]
     if not h_list and any(STAGE_KINDS[s.kind][0] or STAGE_KINDS[s.kind][1] for s in stages):
         errors.append("experiment.h_list must contain at least one h in (0, 1]")
     for h in h_list:
@@ -415,9 +425,9 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
             for k in [int(v) for v in _as_list(p.get("k_list", [1, 2]))]:
                 q_g = symbols.graph_sum(a_g, symbols.graph_monomial(k, 1.0))
                 for x1 in [float(v) for v in _as_list(p.get("x1_list", [0.1, 0.3]))]:
-                    y = np.linspace(-1.5, 1.5, 33)
-                    xi = np.linspace(-0.5, 0.5, 17)
-                    fl = integrate_flow(a_g, y, xi, x1, dt=1e-3, save_at=[x1])
+                    # conjugated_symbol reads only the flow's graph, dt and end
+                    # time, so one launch point suffices
+                    fl = integrate_flow(a_g, [0.0], [0.0], x1, dt=1e-3, save_at=[x1])
                     a_t, q_t, _ = conjugated_symbol(a_g, q_g, fl, x1)
                     xi0 = (float(a_t.graph(x=(x1, 0.0))(0.0)), 0.0)
                     rep = contact_order(a_t, q_t, xi0, max_order=k + 2, x=(x1, 0.0))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,15 @@ def _alternating_signs(n: int) -> np.ndarray:
     # (-1)^m for centered indices m = -n/2 .. n/2-1
     m = np.arange(-n // 2, n // 2)
     return np.where(m % 2 == 0, 1.0, -1.0)
+
+
+def smoothstep(t: np.ndarray) -> np.ndarray:
+    """C^inf ramp: 0 for t <= 0, 1 for t >= 1, exp-glue in between."""
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        lo = np.where(t > 0.0, np.exp(-1.0 / np.where(t > 0.0, t, 1.0)), 0.0)
+        hi = np.where(t < 1.0, np.exp(-1.0 / np.where(t < 1.0, 1.0 - t, 1.0)), 0.0)
+    return lo / (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .grid import (
     SpectralField2D,
     semiclassical_fft,
     semiclassical_ifft,
+    smoothstep,
 )
 from .symbols import GraphFn, SymbolSpec, apply_left_quantization
 
@@ -90,15 +91,6 @@ def grid_for_t_alpha(h: float, half_width: float = 5.0, coverage: float = 1.25,
     return GridSpec(half_width, n, h)
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """C^inf ramp: 0 for t <= 0, 1 for t >= 1, exp-glue in between."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        lo = np.where(t > 0.0, np.exp(-1.0 / np.where(t > 0.0, t, 1.0)), 0.0)
-        hi = np.where(t < 1.0, np.exp(-1.0 / np.where(t < 1.0, 1.0 - t, 1.0)), 0.0)
-    return lo / (lo + hi)
-
-
 def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec) -> SpectralField2D:
     """Indicator (or mollified indicator) of the polar rectangle on the lattice."""
     h, alpha = spec.h, spec.alpha
@@ -121,7 +113,7 @@ def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec) -> SpectralField2D:
     arc = h ** alpha
     if spec.smoothed_edges:
         w = h / 8.0
-        vals = _smoothstep((h - np.abs(rr - 1.0)) / w) * _smoothstep((arc - ang) / w)
+        vals = smoothstep((h - np.abs(rr - 1.0)) / w) * smoothstep((arc - ang) / w)
     else:
         vals = ((np.abs(rr - 1.0) < h) & (ang < arc)).astype(np.complex128)
     inside = int(np.count_nonzero(vals))

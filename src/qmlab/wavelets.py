@@ -16,12 +16,14 @@ so adding a constant-in-x1 field changes nothing and disjoint supports still
 give exactly zero coefficients.
 
 Translation grids are lattice-aligned subsets of the x1 samples with spacing
-<= a/4 per scale; scale grids are log-spaced at 48 points per decade.  Two
-equivalent quadrature backends are provided: ``direct`` multiplies sampled
-window rows (exact support sparsity, used for the structural-zero
-contracts), ``fft`` evaluates the same correlation on the periodic box via
-FFT (used for large sweeps; identical values away from window wrap-around,
-which compactly supported fields never reach).
+<= a/4 per scale; scale grids are log-spaced at 48 points per decade.
+``cwt_forward`` defaults to the direct Riemann sum (exact support sparsity,
+for the structural-zero contracts).  Everything else works on the x1
+spectrum of the periodic box, equal to the direct sum away from window
+wrap-around: analysis multiplies by conj(khat) of the re-centered window,
+synthesis by khat of the raw samples f(m dx / a), and decimating by the
+stride s then zero-stuffing folds the s aliases, (1/s) sum_r Y[(k mod M) + rM]
+with M = N/s, when s | N; other strides take one ifft/fft pair.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import Field2D, GridSpec, sfft1d
+from .grid import Field2D, GridSpec, sfft1d, smoothstep
 
 __all__ = [
     "WaveletSpec",
@@ -205,21 +207,6 @@ def _check_scales(grid: GridSpec, a_grid: np.ndarray) -> np.ndarray:
     return a_grid
 
 
-def _kernel_samples(w: WaveletSpec, grid: GridSpec, a: float) -> np.ndarray:
-    """f(m dx / a) for m = -M..M, re-centered to exact zero discrete mean."""
-    m_max = int(math.floor(a * w.support / grid.dx))
-    m = np.arange(-m_max, m_max + 1)
-    k = np.asarray(np.real(w.f(m * grid.dx / a)), dtype=float)
-    return k - k.sum() / len(k)
-
-
-def _embed_kernel(k: np.ndarray, n: int) -> np.ndarray:
-    """Periodic embedding k_m -> K[m mod n], alias-summed when wider than the box."""
-    m_max = (len(k) - 1) // 2
-    idx = np.arange(-m_max, m_max + 1) % n
-    return np.bincount(idx, weights=k, minlength=n)
-
-
 def _forward_slice_direct(v: Field2D, w: WaveletSpec, a: float, stride: int) -> np.ndarray:
     g = v.grid
     x = g.x_coords
@@ -234,11 +221,42 @@ def _forward_slice_direct(v: Field2D, w: WaveletSpec, a: float, stride: int) -> 
     return (g.dx / math.sqrt(a)) * (rows @ v.values)
 
 
-def _forward_slice_fft(vhat: np.ndarray, w: WaveletSpec, grid: GridSpec, a: float,
-                       stride: int) -> np.ndarray:
-    khat = np.fft.fft(_embed_kernel(_kernel_samples(w, grid, a), grid.points_per_axis))
-    full = np.fft.ifft(vhat * np.conj(khat)[:, None], axis=0)
-    return (grid.dx / math.sqrt(a)) * full[::stride]
+def _window_spectra(w: WaveletSpec, grid: GridSpec, a_grid: np.ndarray) -> tuple:
+    """Analysis (dx / sqrt(a)) conj(khat) of the window samples re-centered to
+    exact zero discrete mean, and synthesis khat of the raw samples f(m dx / a),
+    m = -M..M with M = floor(a support / dx); (n_a, N) each."""
+    n = grid.points_per_axis
+    raw = np.empty((len(a_grid), n))
+    centered = np.empty_like(raw)
+    for i, a in enumerate(a_grid):
+        m_max = int(math.floor(a * w.support / grid.dx))
+        m = np.arange(-m_max, m_max + 1)
+        k = np.asarray(np.real(w.f(m * grid.dx / a)), dtype=float)
+        raw[i] = np.bincount(m % n, weights=k, minlength=n)
+        centered[i] = np.bincount(m % n, weights=k - k.sum() / len(k), minlength=n)
+    an = np.conj(np.fft.fft(centered, axis=1)) * (grid.dx / np.sqrt(a_grid))[:, None]
+    return an, np.fft.fft(raw, axis=1)
+
+
+def _synthesis_weights(w: WaveletSpec, a_grid: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """a^{-5/2} da db / (C_f / 2) per scale, with trapezoid da."""
+    da = np.gradient(a_grid)  # central differences: the trapezoid weights once
+    da[[0, -1]] /= 2.0        # the end intervals are halved
+    return da * db * a_grid ** -2.5 / (admissibility_constant(w) / 2.0)
+
+
+def _stuffed_spectrum(y: np.ndarray, stride: int) -> np.ndarray:
+    """x1 spectrum of ifft(y) decimated by ``stride`` and zero-stuffed back to N rows.
+
+    For s | N, the alias fold (1/s) sum_r y[q + rM], M = N/s: the M-point
+    spectrum of the slice, repeated s times.  Else one ifft/fft pair, in y.
+    """
+    n = y.shape[0]
+    if n % stride == 0:
+        return y.reshape(stride, n // stride, -1).sum(axis=0) / stride
+    np.fft.ifft(y, axis=0, out=y)
+    y[np.arange(n) % stride != 0] = 0.0
+    return np.fft.fft(y, axis=0, out=y)
 
 
 def cwt_forward(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
@@ -247,45 +265,26 @@ def cwt_forward(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
 
     Each slice is the Riemann sum of the defining integral on the lattice-
     aligned translation grid; scales at or below twice the grid spacing are
-    refused.  method="fft" computes the identical correlation through the
-    periodic box.
+    refused.  method="fft" computes the same correlation on the periodic box
+    from the x1 spectrum.
     """
+    if method not in ("direct", "fft"):
+        raise ValueError(f"unknown method {method!r}")
     g = v.grid
     a_grid = _check_scales(g, a_grid)
-    x = g.x_coords
-    vhat = np.fft.fft(v.values, axis=0) if method == "fft" else None
+    if method == "fft":
+        an = _window_spectra(w, g, a_grid)[0]
+        vhat = np.fft.fft(v.values, axis=0)
     b_grids, values = [], []
-    for a in a_grid:
+    for i, a in enumerate(a_grid):
         stride = _b_stride(g, a, b_max_step)
         if method == "direct":
             values.append(_forward_slice_direct(v, w, a, stride))
-        elif method == "fft":
-            values.append(_forward_slice_fft(vhat, w, g, a, stride))
         else:
-            raise ValueError(f"unknown method {method!r}")
-        b_grids.append(x[::stride])
+            full = np.fft.ifft(_stuffed_spectrum(vhat * an[i][:, None], stride), axis=0)
+            values.append(full if g.points_per_axis % stride == 0 else full[::stride].copy())
+        b_grids.append(g.x_coords[::stride])
     return CwtCoefficients(g, a_grid, tuple(b_grids), tuple(values), "x2")
-
-
-def _trapezoid_weights(a: np.ndarray) -> np.ndarray:
-    wa = np.empty_like(a)
-    wa[0] = (a[1] - a[0]) / 2.0
-    wa[-1] = (a[-1] - a[-2]) / 2.0
-    wa[1:-1] = (a[2:] - a[:-2]) / 2.0
-    return wa
-
-
-def _synthesis_add(out: np.ndarray, slice_vals: np.ndarray, w: WaveletSpec,
-                   grid: GridSpec, a: float, stride: int, factor: float) -> None:
-    """out += factor * sum_b f((x - b)/a) X(a, b, .) via periodic convolution."""
-    n = grid.points_per_axis
-    stuffed = np.zeros((n, slice_vals.shape[1]), dtype=np.complex128)
-    stuffed[::stride] = slice_vals
-    m_max = int(math.floor(a * w.support / grid.dx))
-    m = np.arange(-m_max, m_max + 1)
-    k = np.asarray(np.real(w.f(m * grid.dx / a)), dtype=float)
-    khat = np.fft.fft(_embed_kernel(k, n))
-    out += factor * np.fft.ifft(np.fft.fft(stuffed, axis=0) * khat[:, None], axis=0)
 
 
 def cwt_inverse(X: CwtCoefficients, w: WaveletSpec) -> Field2D:
@@ -301,41 +300,55 @@ def cwt_inverse(X: CwtCoefficients, w: WaveletSpec) -> Field2D:
     if len(X.a_grid) < 2:
         raise ValueError("need at least two scales for the synthesis integral")
     g = X.grid
-    c_eff = admissibility_constant(w) / 2.0
-    wa = _trapezoid_weights(X.a_grid)
-    out = np.zeros((g.points_per_axis, g.points_per_axis), dtype=np.complex128)
-    for i, a in enumerate(X.a_grid):
-        b = X.b_grids[i]
-        stride = max(1, int(round((b[1] - b[0]) / g.dx)))
-        db = stride * g.dx
-        _synthesis_add(out, X.values[i], w, g, a, stride,
-                       wa[i] * db * a ** -2.5 / c_eff)
-    return Field2D(g, out)
+    n = g.points_per_axis
+    strides = np.array([max(1, int(round((b[1] - b[0]) / g.dx))) for b in X.b_grids])
+    syn = _window_spectra(w, g, X.a_grid)[1]
+    syn *= _synthesis_weights(w, X.a_grid, strides * g.dx)[:, None]
+    out_hat = np.zeros((n, n), dtype=np.complex128)
+    for i, (stride, vals) in enumerate(zip(strides, X.values)):
+        z = vals  # for s | N its M-point spectrum is already the fold
+        if n % stride:
+            z = np.zeros_like(out_hat)
+            z[::stride] = vals
+        z = np.fft.fft(z, axis=0)
+        out_hat.reshape(-1, len(z), n)[:] += syn[i].reshape(-1, len(z), 1) * z
+    return Field2D(g, np.fft.ifft(out_hat, axis=0, out=out_hat))
 
 
 def cwt_roundtrip_error(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
-                        b_max_step: float | None = None, method: str = "fft") -> float:
-    """Relative L^2 error of synthesis-after-analysis, streamed per scale.
+                        b_max_step: float | None = None) -> float:
+    """Relative L^2 error of synthesis-after-analysis, summed in the x1 spectrum.
 
-    Identical quadrature to cwt_inverse(cwt_forward(v, ...)) but with O(N^2)
-    memory: each scale's slice is synthesized and discarded immediately.
+    Same quadrature as cwt_inverse(cwt_forward(v, ..., method="fft")) in O(N^2)
+    memory.  Scales sharing a stride s | N add out[q + r'M] += sum_r T[r', r, q]
+    vhat[q + rM] with one (s, s, M) table T = (1/s) sum_a syn_a[q + r'M] an_a[q + rM],
+    so the N^2 work is done once per stride; the others take one ifft/fft pair each.
     """
     g = v.grid
+    n = g.points_per_axis
     a_grid = _check_scales(g, a_grid)
-    c_eff = admissibility_constant(w) / 2.0
-    wa = _trapezoid_weights(a_grid)
-    vhat = np.fft.fft(v.values, axis=0) if method == "fft" else None
-    out = np.zeros_like(v.values)
-    for i, a in enumerate(a_grid):
-        stride = _b_stride(g, a, b_max_step)
-        if method == "fft":
-            slice_vals = _forward_slice_fft(vhat, w, g, a, stride)
-        else:
-            slice_vals = _forward_slice_direct(v, w, a, stride)
-        db = stride * g.dx
-        _synthesis_add(out, slice_vals, w, g, a, stride, wa[i] * db * a ** -2.5 / c_eff)
-    return float(np.sqrt(np.sum(np.abs(out - v.values) ** 2))
-                 / np.sqrt(np.sum(np.abs(v.values) ** 2)))
+    strides = np.array([_b_stride(g, a, b_max_step) for a in a_grid])
+    an, syn = _window_spectra(w, g, a_grid)
+    syn *= _synthesis_weights(w, a_grid, strides * g.dx)[:, None]
+    vhat = np.fft.fft(v.values, axis=0)
+    out = np.zeros_like(vhat)
+    buf = np.empty_like(vhat)
+    for s in np.unique(strides):
+        idx = np.flatnonzero(strides == s)
+        if n % s:
+            for i in idx:
+                z = _stuffed_spectrum(np.multiply(vhat, an[i][:, None], out=buf), s)
+                out += np.multiply(z, syn[i][:, None], out=z)
+            continue
+        m = n // s
+        table = np.einsum("iam,ibm->abm", syn[idx].reshape(-1, s, m),
+                          an[idx].reshape(-1, s, m)) / s
+        for blk, row in zip(out.reshape(s, m, n), table):
+            for t, part in zip(row, vhat.reshape(s, m, n)):
+                blk += np.multiply(t[:, None], part, out=buf[:m])
+    np.fft.ifft(out, axis=0, out=out)
+    out -= v.values
+    return float(np.sqrt(np.vdot(out, out).real / np.vdot(v.values, v.values).real))
 
 
 def spectral_coefficients(X: CwtCoefficients) -> CwtCoefficients:
@@ -349,14 +362,6 @@ def spectral_coefficients(X: CwtCoefficients) -> CwtCoefficients:
 # ---------------------------------------------------------------------------
 # dyadic partition in xi2
 # ---------------------------------------------------------------------------
-
-def _smooth_step(t: np.ndarray) -> np.ndarray:
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        lo = np.where(t > 0.0, np.exp(-1.0 / np.where(t > 0.0, t, 1.0)), 0.0)
-        hi = np.where(t < 1.0, np.exp(-1.0 / np.where(t < 1.0, 1.0 - t, 1.0)), 0.0)
-    return lo / (lo + hi)
-
 
 @dataclass(frozen=True)
 class DyadicPartition:
@@ -385,7 +390,7 @@ class DyadicPartition:
     def envelope(self, t) -> np.ndarray:
         """Phi: 1 on |t| <= 1, 0 beyond 1 + width."""
         u = np.abs(np.asarray(t, dtype=float))
-        return 1.0 - _smooth_step((u - 1.0) / self.transition_width)
+        return 1.0 - smoothstep((u - 1.0) / self.transition_width)
 
     def chi0(self, t) -> np.ndarray:
         return self.envelope(t)
@@ -442,29 +447,23 @@ def coefficient_norm(X: CwtCoefficients, fixed_a: float) -> float:
 
 
 def coefficient_norm_table(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
-                           part: DyadicPartition, b_max_step: float | None = None,
-                           method: str = "fft") -> dict:
+                           part: DyadicPartition, b_max_step: float | None = None) -> dict:
     """Per-scale, per-band L^2_{b, xi2} norms, one scale in memory at a time.
 
-    Returns arrays 'total' (n_a,) and 'bands' (n_a, J + 1).
+    One 2-D transform up front; the power over b of each (scale, xi2) is Parseval's
+    sum over the stuffed spectrum.  Returns 'total' (n_a,) and 'bands' (n_a, J + 1).
     """
     g = v.grid
     a_grid = _check_scales(g, a_grid)
-    xi = g.xi_coords
-    mults = np.stack([part.band_multiplier(xi, j) for j in range(part.J + 1)])
-    vhat = np.fft.fft(v.values, axis=0) if method == "fft" else None
-    totals = np.zeros(len(a_grid))
-    bands = np.zeros((len(a_grid), part.J + 1))
-    for i, a in enumerate(a_grid):
-        stride = _b_stride(g, a, b_max_step)
-        if method == "fft":
-            slice_x2 = _forward_slice_fft(vhat, w, g, a, stride)
-        else:
-            slice_x2 = _forward_slice_direct(v, w, a, stride)
-        spec = sfft1d(slice_x2, g, axis=1)
-        db = stride * g.dx
-        totals[i] = np.sqrt(np.sum(np.abs(spec) ** 2) * db * g.dxi)
-        power = np.sum(np.abs(spec) ** 2, axis=0)  # (N,) over b
-        for j in range(part.J + 1):
-            bands[i, j] = np.sqrt(np.sum(power * mults[j] ** 2) * db * g.dxi)
-    return {"a": a_grid, "total": totals, "bands": bands, "J": part.J}
+    mults2 = np.stack([part.band_multiplier(g.xi_coords, j) ** 2 for j in range(part.J + 1)])
+    an = _window_spectra(w, g, a_grid)[0]
+    spec = sfft1d(np.fft.fft(v.values, axis=0), g, axis=1)
+    buf = np.empty_like(spec)
+    strides = np.array([_b_stride(g, a, b_max_step) for a in a_grid])
+    power = np.empty((len(a_grid), g.points_per_axis))  # over b, per (scale, xi2)
+    for i, stride in enumerate(strides):
+        z = _stuffed_spectrum(np.multiply(spec, an[i][:, None], out=buf), stride)
+        power[i] = np.sum(z.real ** 2 + z.imag ** 2, axis=0) / len(z)
+    power *= (strides * g.dx * g.dxi)[:, None]
+    bands = np.sqrt(np.sum(power[:, None, :] * mults2, axis=-1))
+    return {"a": a_grid, "total": np.sqrt(power.sum(axis=1)), "bands": bands, "J": part.J}

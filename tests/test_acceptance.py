@@ -177,7 +177,7 @@ class TestCriterion5:
             v = build_flat_quasimode(g, k)
             part = wavelets.make_partition(h, k)
             a_grid = wavelets.default_scale_grid(h ** 0.6, 4.0)
-            tab = wavelets.coefficient_norm_table(v, W, a_grid, part, method="fft")
+            tab = wavelets.coefficient_norm_table(v, W, a_grid, part)
             a, bands = tab["a"], tab["bands"]
             iref = int(np.argmin(np.abs(a - 1.0)))
             c_ref = bands[iref, 0] / a[iref] ** 1.5

@@ -48,6 +48,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"h = 1\.5"):
             parse_config(bad)
 
+    def test_h_list_bad_tokens_refused(self):
+        # tokens that are not numbers used to be dropped silently
+        bad = MINIMAL.replace("2^-5 2^-6 2^-7", "2^-5 0.5e x 2^-6")
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        assert "h_list" in str(err.value)
+        assert "'0.5e'" in str(err.value) and "'x'" in str(err.value)
+        with pytest.raises(ConfigError, match="h_list"):
+            parse_config(MINIMAL.replace("2^-5 2^-6 2^-7", "true 0.1"))
+
     def test_unknown_keys_with_line_numbers(self):
         text = MINIMAL + "\n[stage norms]\nbogus = 3\n"
         with pytest.raises(ConfigError) as err:
@@ -101,6 +111,17 @@ symbol = circle_minus_one
             parse_symbol_expr("contact_circle(2, 1.0)")
         g = parse_graph_expr("tilted_circle(tilt=0.2)")
         assert g.name == "tilted_circle"
+
+    def test_non_integer_order_refused(self):
+        # int(k) used to build contact_circle(k=1.7) as k = 1
+        with pytest.raises(ValueError, match="k must be an integer, got 1.7"):
+            parse_symbol_expr("contact_circle(k=1.7, c=1)")
+        with pytest.raises(ValueError, match="m must be an integer"):
+            parse_symbol_expr("xi2_power(m=2.5)")
+        with pytest.raises(ValueError, match="k must be an integer"):
+            parse_graph_expr("monomial(k=1.5, c=1.0)")
+        assert parse_symbol_expr("contact_circle(k=2, c=1)").params["k"] == 2
+        assert parse_symbol_expr("contact_circle(k=2.0, c=1)").params["k"] == 2
 
 
 class TestShippedConfigs:

@@ -169,7 +169,7 @@ class TestInverse:
         back = cwt_inverse(X, W)
         err_mat = float(np.sqrt(np.sum(np.abs(back.values - v.values) ** 2)
                                 / np.sum(np.abs(v.values) ** 2)))
-        err_str = cwt_roundtrip_error(v, W, a_grid, method="fft")
+        err_str = cwt_roundtrip_error(v, W, a_grid)
         assert err_mat == pytest.approx(err_str, abs=1e-14)
 
     def test_refinement_improves_roundtrip(self):
@@ -301,10 +301,136 @@ class TestCoefficientNorms:
         v = build_flat_quasimode(g, 1)
         part = make_partition(g.h, 1)
         a_grid = np.array([0.5, 1.0, 2.0])
-        tab = coefficient_norm_table(v, W, a_grid, part, method="fft")
+        tab = coefficient_norm_table(v, W, a_grid, part)
         X = spectral_coefficients(cwt_forward(v, W, a_grid, method="fft"))
         for i, a in enumerate(a_grid):
             assert tab["total"][i] == pytest.approx(coefficient_norm(X, a), rel=1e-12)
             for j in range(part.J + 1):
                 assert tab["bands"][i, j] == pytest.approx(
                     coefficient_norm(dyadic_project(X, part, j), a), rel=1e-10, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-scale time-domain loop (one full-length inverse FFT per
+# scale, then decimation; zero-stuffing and a forward/inverse FFT pair per
+# scale for the synthesis)
+# ---------------------------------------------------------------------------
+
+def _oracle_khat(w, g, a, recenter):
+    m_max = int(math.floor(a * w.support / g.dx))
+    m = np.arange(-m_max, m_max + 1)
+    k = np.asarray(np.real(w.f(m * g.dx / a)), dtype=float)
+    if recenter:
+        k = k - k.sum() / len(k)
+    return np.fft.fft(np.bincount(m % g.n, weights=k, minlength=g.n))
+
+
+def _oracle_stride(g, a, b_max_step=None):
+    target = a / 4.0 if b_max_step is None else min(a / 4.0, b_max_step)
+    return max(1, int(target / g.dx))
+
+
+def _oracle_slice(vhat, w, g, a, stride):
+    full = np.fft.ifft(vhat * np.conj(_oracle_khat(w, g, a, True))[:, None], axis=0)
+    return (g.dx / math.sqrt(a)) * full[::stride]
+
+
+def _oracle_synthesis_add(out, slice_vals, w, g, a, stride, factor):
+    stuffed = np.zeros((g.n, slice_vals.shape[1]), dtype=np.complex128)
+    stuffed[::stride] = slice_vals
+    khat = _oracle_khat(w, g, a, False)
+    out += factor * np.fft.ifft(np.fft.fft(stuffed, axis=0) * khat[:, None], axis=0)
+
+
+def _oracle_roundtrip(v, w, a_grid, b_max_step=None):
+    """Synthesis of the analysis, scale by scale; returns the field and the slices."""
+    g = v.grid
+    c_eff = admissibility_constant(w) / 2.0
+    wa = np.empty_like(a_grid)
+    wa[0] = (a_grid[1] - a_grid[0]) / 2.0
+    wa[-1] = (a_grid[-1] - a_grid[-2]) / 2.0
+    wa[1:-1] = (a_grid[2:] - a_grid[:-2]) / 2.0
+    vhat = np.fft.fft(v.values, axis=0)
+    out = np.zeros_like(v.values)
+    slices = []
+    for i, a in enumerate(a_grid):
+        stride = _oracle_stride(g, a, b_max_step)
+        slices.append(_oracle_slice(vhat, w, g, a, stride))
+        _oracle_synthesis_add(out, slices[-1], w, g, a, stride,
+                              wa[i] * stride * g.dx * a ** -2.5 / c_eff)
+    return out, slices
+
+
+def _asymmetric_wavelet():
+    # f = d/dt [(1 - t^2)^4 (1 + t/2)]: zero mean, but not odd, so its samples
+    # do not sum to zero and the analysis re-centering matters
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        u = 1.0 - t * t
+        return np.where(np.abs(t) <= 1.0, -8.0 * t * u ** 3 * (1.0 + 0.5 * t) + 0.5 * u ** 4, 0.0)
+
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(np.abs(t) <= 1.0, -1j * (1.0 - t * t) ** 4 * (1.0 + 0.5 * t), 0.0)
+
+    return WaveletSpec(f=f, antiderivative=g, label="asymmetric")
+
+
+@pytest.mark.parametrize("w", [W, _asymmetric_wavelet()], ids=["odd", "asymmetric"])
+class TestSpectralEngineOracle:
+    # dx = 1/8 and a / 4 per translation step: strides 1..6 on N = 64, so both
+    # the alias fold (s | N) and the ifft/fft fallback (s = 3, 5, 6) are used
+    g = GridSpec(4.0, 64, 0.1)
+    a_grid = default_scale_grid(0.3, 3.2, per_decade=12)
+
+    def field(self):
+        rng = np.random.default_rng(5)
+        noise = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        return Field2D(self.g, packet(self.g).values + 0.05 * noise)
+
+    def test_grid_mixes_dividing_and_other_strides(self, w):
+        strides = {_oracle_stride(self.g, a) for a in self.a_grid}
+        assert {s for s in strides if 64 % s == 0} >= {1, 2, 4}
+        assert {s for s in strides if 64 % s} >= {3, 5}
+
+    def test_roundtrip_error(self, w):
+        v = self.field()
+        out, _ = _oracle_roundtrip(v, w, self.a_grid)
+        oracle = float(np.linalg.norm(out - v.values) / np.linalg.norm(v.values))
+        assert abs(cwt_roundtrip_error(v, w, self.a_grid) - oracle) <= 1e-12 * oracle
+
+    def test_roundtrip_error_with_step_cap(self, w):
+        g = GridSpec(3.0, 96, 0.05)
+        v = packet(g, omega=6.0, width=0.7)
+        a_grid = default_scale_grid(0.2, 4.0, per_decade=12)
+        out, _ = _oracle_roundtrip(v, w, a_grid, b_max_step=0.2)
+        oracle = float(np.linalg.norm(out - v.values) / np.linalg.norm(v.values))
+        err = cwt_roundtrip_error(v, w, a_grid, b_max_step=0.2)
+        assert abs(err - oracle) <= 1e-12 * oracle
+
+    def test_fft_forward_and_inverse(self, w):
+        v = self.field()
+        out, slices = _oracle_roundtrip(v, w, self.a_grid)
+        X = cwt_forward(v, w, self.a_grid, method="fft")
+        for got, want in zip(X.values, slices):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        back = cwt_inverse(X, w).values
+        assert np.linalg.norm(back - out) <= 1e-12 * np.linalg.norm(out)
+
+    def test_norm_table(self, w):
+        v = self.field()
+        part = make_partition(self.g.h, 1)
+        mults = np.stack([part.band_multiplier(self.g.xi_coords, j) for j in range(part.J + 1)])
+        _, slices = _oracle_roundtrip(v, w, self.a_grid)
+        tab = coefficient_norm_table(v, w, self.a_grid, part)
+        scale = max(np.max(tab["total"]), np.max(tab["bands"]))
+        for i, a in enumerate(self.a_grid):
+            spec = sfft1d(slices[i], self.g, axis=1)
+            db = _oracle_stride(self.g, a) * self.g.dx
+            total = np.sqrt(np.sum(np.abs(spec) ** 2) * db * self.g.dxi)
+            power = np.sum(np.abs(spec) ** 2, axis=0)
+            assert abs(tab["total"][i] - total) <= 1e-12 * scale
+            for j in range(part.J + 1):
+                band = np.sqrt(np.sum(power * mults[j] ** 2) * db * self.g.dxi)
+                assert abs(tab["bands"][i, j] - band) <= 1e-12 * scale
