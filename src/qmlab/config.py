@@ -54,7 +54,7 @@ _EXPR_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:\((.*)\))?\s*$")
 
 def _integer(key: str, value: float) -> int:
     """An integer parameter; a fractional value is refused, never truncated."""
-    if not float(value).is_integer():
+    if isinstance(value, (bool, str)) or not float(value).is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -152,6 +152,13 @@ _STAGE_KEYS = {
     "kernel": {"graph", "k", "j_list", "a_list"},
     "egorov": {"k_list", "x1_list", "tilt"},
 }
+_STAGE_INTEGER_KEYS = {
+    "flat_quasimode": {"k"},
+    "cwt_norms": {"k", "per_decade"},
+    "kernel": {"k", "j_list"},
+    "egorov": {"k_list"},
+    "defect": {"powers"},
+}
 _ASSERT_KEYS = {
     "slope": {"quantity", "p", "expected", "tol"},
     "slope_min": {"quantity", "p", "expected", "tol"},
@@ -192,9 +199,11 @@ def _parse_value(raw: str):
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every problem found."""
     errors: list[str] = []
-    section = None  # ("experiment"|"grid"|"stage"|"assert", payload)
+    section = None  # ("experiment"|"grid"|"stage"|"assert", payload, header, keys seen)
     experiment: dict = {}
     grid: dict = {}
+    experiment_keys: set = set()  # shared by repeated [experiment] headers
+    grid_keys: set = set()
     stages: list[StageSpec] = []
     assertions: list[AssertionSpec] = []
 
@@ -209,9 +218,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 continue
             header = stripped[1:-1].strip()
             if header == "experiment":
-                section = ("experiment", experiment)
+                section = ("experiment", experiment, header, experiment_keys)
             elif header == "grid":
-                section = ("grid", grid)
+                section = ("grid", grid, header, grid_keys)
             elif header.startswith("stage"):
                 kind = header[len("stage"):].strip()
                 if kind not in STAGE_KINDS:
@@ -220,12 +229,12 @@ def parse_config(text: str) -> ExperimentConfig:
                     continue
                 stage = StageSpec(kind)
                 stages.append(stage)
-                section = ("stage", stage)
+                section = ("stage", stage, header, set())
             elif header.startswith("assert"):
                 name = header[len("assert"):].strip() or f"assert_{len(assertions)}"
                 spec = AssertionSpec(name, kind="")
                 assertions.append(spec)
-                section = ("assert", spec)
+                section = ("assert", spec, header, set())
             else:
                 errors.append(f"line {lineno}: unknown section {header!r}")
                 section = None
@@ -237,33 +246,43 @@ def parse_config(text: str) -> ExperimentConfig:
         value = _parse_value(raw)
         if section is None:
             errors.append(f"line {lineno}: key {key!r} outside any section")
-        elif section[0] == "experiment":
+            continue
+        where, payload, title, seen = section
+        if key in seen:
+            errors.append(f"line {lineno}: duplicate key {key!r} in [{title}]")
+            continue
+        seen.add(key)
+        if where == "experiment":
             if key not in _EXPERIMENT_KEYS:
                 errors.append(f"line {lineno}: unknown experiment key {key!r}")
             else:
                 experiment[key] = value
-        elif section[0] == "grid":
+        elif where == "grid":
             if key not in _GRID_KEYS:
                 errors.append(f"line {lineno}: unknown grid key {key!r}")
             else:
                 grid[key] = value
-        elif section[0] == "stage":
-            stage = section[1]
+        elif where == "stage":
             if key == "kind":
                 errors.append(f"line {lineno}: stage kind is set in the header")
-            elif key not in _STAGE_KEYS[stage.kind]:
-                errors.append(f"line {lineno}: unknown key {key!r} for stage {stage.kind}")
+            elif key not in _STAGE_KEYS[payload.kind]:
+                errors.append(f"line {lineno}: unknown key {key!r} for stage {payload.kind}")
+            elif key in _STAGE_INTEGER_KEYS.get(payload.kind, ()):
+                try:
+                    payload.params[key] = ([_integer(key, v) for v in value]
+                                           if isinstance(value, list) else _integer(key, value))
+                except ValueError as exc:
+                    errors.append(f"line {lineno}: {exc}")
             else:
-                stage.params[key] = value
-        elif section[0] == "assert":
-            spec = section[1]
+                payload.params[key] = value
+        elif where == "assert":
             if key == "kind":
                 if value not in _ASSERT_KEYS:
                     errors.append(f"line {lineno}: unknown assertion kind {value!r}")
                 else:
-                    spec.kind = value
+                    payload.kind = value
             else:
-                spec.params[key] = value
+                payload.params[key] = value
 
     if not stages:
         errors.append("no pipeline: at least one [stage ...] section is required")

@@ -274,7 +274,8 @@ def kernel_sample(table, w: WaveletSpec, part: DyadicPartition, j: int, a: float
     intervals = _band_intervals(part, j)
     # transverse offsets bracketing the stationary point delta = t a'(xi)
     probe = np.concatenate([np.linspace(lo, hi, 65) for lo, hi in intervals])
-    dphi = np.asarray(table.graph.d_xi2(0.0, 0.0, probe), dtype=float)
+    a_xi = table.graph.jet(0.0, 0.0, probe)[1]  # None: structurally zero
+    dphi = np.broadcast_to(np.asarray(0.0 if a_xi is None else a_xi, dtype=float), probe.shape)
     deltas = np.unique(np.concatenate([[0.0], t * dphi,
                                        np.linspace(t * dphi.min(), t * dphi.max(),
                                                    max(2, n_offsets - len(probe) - 1))]))

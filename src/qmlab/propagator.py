@@ -21,8 +21,10 @@ Phases for x-dependent generators are tabulated by the method of
 characteristics: Hamiltonian trajectories (RK4, fixed step, with the 2x2
 variational system for the Jacobian) carry the action, and each saved x1
 slice is interpolated back to the rectangular (y2, xi2) grid by a cubic
-spline in the launch point.  Caustics (|dy/dy0| < 0.1) shorten the usable
-horizon rather than being crossed.
+spline in the launch point.  The march carries seven flat arrays (y, xi, the
+four Jacobian entries, the action) and reads the generator's jet once per
+stage.  Caustics (|dy/dy0| < 0.1) shorten the usable horizon rather than
+being crossed.
 """
 
 from __future__ import annotations
@@ -62,40 +64,45 @@ class CausticError(RuntimeError):
 # Hamiltonian flow with variational system and action
 # ---------------------------------------------------------------------------
 
-def _flow_rhs(graph: GraphFn, t: float, y: np.ndarray, xi: np.ndarray,
-              jac: np.ndarray):
-    """Time derivatives of (y, xi, J, S) for the generator a."""
-    a = np.asarray(graph.value(t, y, xi), dtype=float)
-    a_xi = np.asarray(graph.d_xi2(t, y, xi), dtype=float)
-    a_y = np.asarray(graph.d_x2(t, y, xi), dtype=float)
-    a_yxi = np.asarray(graph.d2_x2_xi2(t, y, xi), dtype=float)
-    a_xixi = np.asarray(graph.d2_xi2_xi2(t, y, xi), dtype=float)
-    a_yy = np.asarray(graph.d2_x2_x2(t, y, xi), dtype=float)
-    dy = a_xi
-    dxi = -a_y
+def _lin(p, u, q, v):
+    """p u + q v, skipping the terms of structurally zero (None) coefficients."""
+    if p is None:
+        return None if q is None else q * v
+    return p * u if q is None else p * u + q * v
+
+
+def _neg(p):
+    return None if p is None else -p
+
+
+def _flow_rhs(graph: GraphFn, t: float, y, xi, j00, j01, j10, j11, _action):
+    """Time derivatives of the state (y, xi, J, S); None where structurally zero."""
+    a, a_xi, a_y, a_yxi, a_xixi, a_yy = graph.jet(t, y, xi)
+    n_yy, n_yxi = _neg(a_yy), _neg(a_yxi)
     # tangent system dJ/dt = A J with A = [[a_yxi, a_xixi], [-a_yy, -a_yxi]]
-    djac = np.empty_like(jac)
-    djac[..., 0, 0] = a_yxi * jac[..., 0, 0] + a_xixi * jac[..., 1, 0]
-    djac[..., 0, 1] = a_yxi * jac[..., 0, 1] + a_xixi * jac[..., 1, 1]
-    djac[..., 1, 0] = -a_yy * jac[..., 0, 0] - a_yxi * jac[..., 1, 0]
-    djac[..., 1, 1] = -a_yy * jac[..., 0, 1] - a_yxi * jac[..., 1, 1]
-    ds = xi * a_xi - a
-    return dy, dxi, djac, ds
+    return (a_xi, _neg(a_y),
+            _lin(a_yxi, j00, a_xixi, j10), _lin(a_yxi, j01, a_xixi, j11),
+            _lin(n_yy, j00, n_yxi, j10), _lin(n_yy, j01, n_yxi, j11),
+            -a if a_xi is None else xi * a_xi - a)
 
 
-def _rk4_march(graph: GraphFn, y, xi, jac, action, t0: float, dt: float, steps: int):
-    """Advance the joint state in place-free RK4 for a number of steps."""
+def _rk4_march(graph: GraphFn, state, t0: float, dt: float, steps: int):
+    """RK4 on the state (y, xi, j00, j01, j10, j11, S); builds new arrays, never writes."""
     for s in range(steps):
         t = t0 + s * dt
-        k1 = _flow_rhs(graph, t, y, xi, jac)
-        k2 = _flow_rhs(graph, t + dt / 2, y + dt / 2 * k1[0], xi + dt / 2 * k1[1], jac + dt / 2 * k1[2])
-        k3 = _flow_rhs(graph, t + dt / 2, y + dt / 2 * k2[0], xi + dt / 2 * k2[1], jac + dt / 2 * k2[2])
-        k4 = _flow_rhs(graph, t + dt, y + dt * k3[0], xi + dt * k3[1], jac + dt * k3[2])
-        y = y + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        xi = xi + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        jac = jac + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        action = action + dt / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-    return y, xi, jac, action
+        k = [_flow_rhs(graph, t, *state)]
+        for h in (dt / 2, dt / 2, dt):
+            stage = [x if d is None else x + h * d for x, d in zip(state, k[-1])]
+            k.append(_flow_rhs(graph, t + h, *stage))
+        state = [x if d1 is None else x + dt / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
+                 for x, d1, d2, d3, d4 in zip(state, *k)]
+    return state
+
+
+def _initial_state(y, xi):
+    """(y, xi, J = identity, S = 0) as seven separate arrays."""
+    one, zero = np.ones_like, np.zeros_like
+    return [y, xi, one(y), zero(y), zero(y), one(y), zero(y)]
 
 
 @dataclass(frozen=True)
@@ -124,14 +131,10 @@ class HamiltonianFlow:
         y0 = np.asarray(y0, dtype=float)
         xi0 = np.asarray(xi0, dtype=float)
         y0b, xi0b = np.broadcast_arrays(y0, xi0)
-        shape = y0b.shape
-        jac = np.zeros(shape + (2, 2))
-        jac[..., 0, 0] = 1.0
-        jac[..., 1, 1] = 1.0
         steps = max(1, int(round(abs(x1) / self.dt)))
         dt = x1 / steps
-        y, xi, _, _ = _rk4_march(self.graph, y0b.astype(float), xi0b.astype(float),
-                                 jac, np.zeros(shape), 0.0, dt, steps)
+        state = _initial_state(y0b.astype(float), xi0b.astype(float))
+        y, xi = _rk4_march(self.graph, state, 0.0, dt, steps)[:2]
         return y, xi
 
 
@@ -164,38 +167,32 @@ def integrate_flow(a_graph: GraphFn, y_init: np.ndarray, xi_init: np.ndarray,
 
     y = np.repeat(y_init[:, None], len(xi_init), axis=1)
     xi = np.repeat(xi_init[None, :], len(y_init), axis=0)
-    jac = np.zeros(y.shape + (2, 2))
-    jac[..., 0, 0] = 1.0
-    jac[..., 1, 1] = 1.0
-    action = np.zeros_like(y)
     a0 = np.asarray(a_graph.value(0.0, y, xi), dtype=float)
 
-    snaps_y, snaps_xi, snaps_jac, snaps_action, times = [], [], [], [], []
+    state = _initial_state(y, xi)
+    snaps, times = [], []
     prev = 0
     for s in save_steps:
-        y, xi, jac, action = _rk4_march(a_graph, y, xi, jac, action,
-                                        prev * dt, dt, s - prev)
+        state = _rk4_march(a_graph, state, prev * dt, dt, s - prev)
         prev = s
         times.append(s * dt)
-        snaps_y.append(y.copy())
-        snaps_xi.append(xi.copy())
-        snaps_jac.append(jac.copy())
-        snaps_action.append(action.copy())
+        snaps.append(state)
+    y_of, xi_of, j00, j01, j10, j11, action = (np.stack(c) for c in zip(*snaps))
+    jac = np.stack([j00, j01, j10, j11], axis=-1).reshape(j00.shape + (2, 2))
 
-    a_end = np.asarray(a_graph.value(times[-1], y, xi), dtype=float)
+    a_end = np.asarray(a_graph.value(times[-1], y_of[-1], xi_of[-1]), dtype=float)
     drift = float(np.max(np.abs(a_end - a0)))
     exited = None
     if box_half_width is not None:
-        exited = np.abs(snaps_y[-1]) > box_half_width
+        exited = np.abs(y_of[-1]) > box_half_width
         if exited.any():
             warnings.warn(
                 f"{int(exited.sum())} trajectories left the box [-{box_half_width}, "
                 f"{box_half_width}] by x1 = {times[-1]:.3g}", stacklevel=2)
     return HamiltonianFlow(
         graph=a_graph, y_init=y_init, xi_init=xi_init, dt=dt,
-        x1_values=np.asarray(times), y_of=np.stack(snaps_y),
-        xi_of=np.stack(snaps_xi), jac=np.stack(snaps_jac),
-        action=np.stack(snaps_action), box_half_width=box_half_width,
+        x1_values=np.asarray(times), y_of=y_of, xi_of=xi_of, jac=jac,
+        action=action, box_half_width=box_half_width,
         exited_box=exited, energy_drift=drift,
     )
 

@@ -1,8 +1,10 @@
 """Symbol families p(x, xi), characteristic-curve contact order, quantization.
 
-A symbol is evaluated on grids via broadcastable callables; families that are
-graphs xi1 = a(x, xi2) also expose closed-form xi2-derivatives so contact
-order between two characteristic curves can be read off exactly.  When a
+A symbol is evaluated on grids via broadcastable callables.  Families that are
+graphs xi1 = a(x, xi2) expose one jet (a and the five first and second
+partials the Hamiltonian flow needs, None where structurally zero) computed
+from shared subexpressions, and closed-form xi2-derivatives so contact order
+between two characteristic curves can be read off exactly.  When a
 closed form is not available (Newton branches, flow pullbacks) the detection
 falls back to centered finite differences with Richardson extrapolation; every
 stencil point is evaluated in one batched call per graph.
@@ -19,7 +21,7 @@ paths agree exactly when p does not depend on x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -71,29 +73,39 @@ class CostGuardError(RuntimeError):
 # so circle graphs stay finite (and curved) on the whole frequency lattice.
 # ---------------------------------------------------------------------------
 
-def _circle_sqrt(t, order: int = 0):
+def _circle_jet(t):
+    """Orders 0, 1 and 2 of :func:`_circle_sqrt` from one seam computation."""
     t = np.asarray(t, dtype=float)
     u = np.abs(t)
-    s = np.sign(t)
     inside = u <= CIRCLE_SEAM
-    uc = np.where(inside, u, CIRCLE_SEAM)
+    uc = np.minimum(u, CIRCLE_SEAM)
     w = 1.0 - uc * uc
     r = np.sqrt(w)
-    d = u - CIRCLE_SEAM  # >= 0 only where outside
-    # value and |t|-derivatives at the clamp point
-    v0, v1, v2 = r, -uc / r, -w ** -1.5
-    if order == 0:
-        out = np.where(inside, r, v0 + v1 * d + 0.5 * v2 * d * d)
-    elif order == 1:
-        out = s * np.where(inside, -uc / r, v1 + v2 * d)
-    elif order == 2:
-        out = np.where(inside, -w ** -1.5, v2)
-    elif order == 3:
-        out = s * np.where(inside, -3.0 * uc * w ** -2.5, 0.0)
-    elif order == 4:
-        out = np.where(inside, -3.0 * (1.0 + 4.0 * uc * uc) * w ** -3.5, 0.0)
-    else:
+    # value and |t|-derivatives at the clamp point, Taylor-continued outside
+    v1, v2 = -uc / r, -w ** -1.5
+    c0, c1 = r, v1
+    if not inside.all():
+        d = u - CIRCLE_SEAM  # >= 0 only where outside
+        c0 = np.asarray(r + v1 * d + 0.5 * v2 * d * d)
+        c1 = np.asarray(v1 + v2 * d)
+        np.copyto(c0, r, where=inside)
+        np.copyto(c1, v1, where=inside)
+    return c0, np.sign(t) * c1, v2
+
+
+def _circle_sqrt(t, order: int = 0):
+    if not 0 <= order <= _CIRCLE_MAX_ORDER:
         raise ValueError(f"_circle_sqrt derivatives available to order 4, got {order}")
+    if order <= 2:
+        out = _circle_jet(t)[order]
+    else:  # the quadratic continuation has no third or fourth derivative
+        t = np.asarray(t, dtype=float)
+        uc = np.minimum(np.abs(t), CIRCLE_SEAM)
+        w = 1.0 - uc * uc
+        dk = -3.0 * uc * w ** -2.5 if order == 3 else -3.0 * (1.0 + 4.0 * uc * uc) * w ** -3.5
+        out = np.where(np.abs(t) <= CIRCLE_SEAM, dk, 0.0)
+        if order == 3:
+            out = np.sign(t) * out
     return out if out.ndim else float(out)
 
 
@@ -101,46 +113,45 @@ _CIRCLE_MAX_ORDER = 4
 
 
 # ---------------------------------------------------------------------------
-# graph functions a(x1, x2, xi2) with the partials the flow integrator needs
+# graph functions a(x1, x2, xi2) with the jet the flow integrator needs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GraphFn:
     """Graph a(x1, x2, xi2) of a characteristic branch xi1 = a.
 
-    ``xi2_derivative(x1, x2, xi2, order)`` returns the closed-form derivative
-    or None when only finite differences are possible at that order.
+    ``jet(x1, x2, xi2)`` returns (a, a_xi2, a_x2, a_x2xi2, a_xi2xi2, a_x2x2),
+    each broadcastable against the arguments, with None for a partial that
+    is structurally zero.  ``xi2_derivative(x1, x2, xi2, order)`` returns the
+    closed-form derivative or None when only finite differences are possible
+    at that order.
     """
 
     name: str
-    value: Callable
-    d_xi2: Callable
-    d_x2: Callable
-    d2_xi2_xi2: Callable
-    d2_x2_xi2: Callable
-    d2_x2_x2: Callable
+    jet: Callable  # (x1, x2, xi2) -> (a, a_xi, a_y, a_yxi, a_xixi, a_yy)
     x_dependent: bool
     xi2_derivative: Callable  # (x1, x2, xi2, order) -> value or None
 
-    def __call__(self, x1, x2, xi2):
-        return self.value(x1, x2, xi2)
+    def value(self, x1, x2, xi2):
+        """a alone, the first entry of the jet."""
+        return self.jet(x1, x2, xi2)[0]
+
+    __call__ = value
 
 
 def graph_circle() -> GraphFn:
     """Upper unit-circle branch a(xi2) = sqrt(1 - xi2^2), continued past 0.95."""
 
+    def jet(x1, x2, xi2):
+        c0, c1, c2 = _circle_jet(xi2)
+        return c0, c1, None, None, c2, None
+
     def deriv(x1, x2, xi2, order):
         return _circle_sqrt(xi2, order) if order <= _CIRCLE_MAX_ORDER else None
 
-    zero = lambda x1, x2, xi2: np.zeros(np.broadcast(x1, x2, xi2).shape)
     return GraphFn(
         name="circle",
-        value=lambda x1, x2, xi2: _circle_sqrt(xi2, 0) + 0.0 * np.asarray(x2),
-        d_xi2=lambda x1, x2, xi2: _circle_sqrt(xi2, 1) + 0.0 * np.asarray(x2),
-        d_x2=zero,
-        d2_xi2_xi2=lambda x1, x2, xi2: _circle_sqrt(xi2, 2) + 0.0 * np.asarray(x2),
-        d2_x2_xi2=zero,
-        d2_x2_x2=zero,
+        jet=jet,
         x_dependent=False,
         xi2_derivative=deriv,
     )
@@ -148,6 +159,10 @@ def graph_circle() -> GraphFn:
 
 def graph_parabola(coeff: float = 1.0) -> GraphFn:
     """a(xi2) = coeff * xi2^2: the canonical curved branch, constant curvature."""
+
+    def jet(x1, x2, xi2):
+        xi2 = np.asarray(xi2)
+        return coeff * xi2 ** 2, 2.0 * coeff * xi2, None, None, 2.0 * coeff, None
 
     def deriv(x1, x2, xi2, order):
         if order == 0:
@@ -160,12 +175,7 @@ def graph_parabola(coeff: float = 1.0) -> GraphFn:
 
     return GraphFn(
         name="parabola",
-        value=lambda x1, x2, xi2: coeff * np.asarray(xi2) ** 2 + 0.0 * np.asarray(x2),
-        d_xi2=lambda x1, x2, xi2: 2.0 * coeff * np.asarray(xi2) + 0.0 * np.asarray(x2),
-        d_x2=lambda x1, x2, xi2: np.zeros(np.broadcast(x1, x2, xi2).shape),
-        d2_xi2_xi2=lambda x1, x2, xi2: 2.0 * coeff + 0.0 * np.asarray(xi2 + x2),
-        d2_x2_xi2=lambda x1, x2, xi2: np.zeros(np.broadcast(x1, x2, xi2).shape),
-        d2_x2_x2=lambda x1, x2, xi2: np.zeros(np.broadcast(x1, x2, xi2).shape),
+        jet=jet,
         x_dependent=False,
         xi2_derivative=deriv,
     )
@@ -175,8 +185,8 @@ def graph_flat() -> GraphFn:
     """a = 0: the straightened branch xi1 = 0."""
 
     deriv = lambda x1, x2, xi2, order: np.zeros_like(np.asarray(xi2, dtype=float))
-    zero = lambda x1, x2, xi2: np.zeros(np.broadcast(x1, x2, xi2).shape)
-    return GraphFn("flat", zero, zero, zero, zero, zero, zero, False, deriv)
+    jet = lambda x1, x2, xi2: (np.zeros(np.broadcast(x1, x2, xi2).shape),) + (None,) * 5
+    return GraphFn("flat", jet, False, deriv)
 
 
 def graph_monomial(k: int, c: float) -> GraphFn:
@@ -192,25 +202,20 @@ def graph_monomial(k: int, c: float) -> GraphFn:
         fac = c * math.factorial(m) / math.factorial(m - order)
         return fac * t ** (m - order)
 
-    def deriv(x1, x2, xi2, order):
-        return dpoly(xi2, order)
-
-    zero = lambda x1, x2, xi2: np.zeros(np.broadcast(x1, x2, xi2).shape)
     return GraphFn(
         name=f"monomial(k={k}, c={c})",
-        value=lambda x1, x2, xi2: dpoly(xi2, 0) + 0.0 * np.asarray(x2),
-        d_xi2=lambda x1, x2, xi2: dpoly(xi2, 1) + 0.0 * np.asarray(x2),
-        d_x2=zero,
-        d2_xi2_xi2=lambda x1, x2, xi2: dpoly(xi2, 2) + 0.0 * np.asarray(x2),
-        d2_x2_xi2=zero,
-        d2_x2_x2=zero,
+        jet=lambda x1, x2, xi2: (dpoly(xi2, 0), dpoly(xi2, 1), None, None, dpoly(xi2, 2), None),
         x_dependent=False,
-        xi2_derivative=deriv,
+        xi2_derivative=lambda x1, x2, xi2, order: dpoly(xi2, order),
     )
 
 
 def graph_shear() -> GraphFn:
     """a(x, xi2) = x2 * xi2: linear flow with exact exponential characteristics."""
+
+    def jet(x1, x2, xi2):
+        x2, xi2 = np.asarray(x2), np.asarray(xi2)
+        return x2 * xi2, x2, xi2, 1.0, None, None
 
     def deriv(x1, x2, xi2, order):
         x2a = np.asarray(x2, dtype=float)
@@ -221,16 +226,9 @@ def graph_shear() -> GraphFn:
             return x2a + 0.0 * xi2a
         return np.zeros(np.broadcast(x2a, xi2a).shape)
 
-    zero = lambda x1, x2, xi2: np.zeros(np.broadcast(x1, x2, xi2).shape)
-    one = lambda x1, x2, xi2: np.ones(np.broadcast(x1, x2, xi2).shape)
     return GraphFn(
         name="shear",
-        value=lambda x1, x2, xi2: np.asarray(x2) * np.asarray(xi2),
-        d_xi2=lambda x1, x2, xi2: np.asarray(x2) + 0.0 * np.asarray(xi2),
-        d_x2=lambda x1, x2, xi2: np.asarray(xi2) + 0.0 * np.asarray(x2),
-        d2_xi2_xi2=zero,
-        d2_x2_xi2=one,
-        d2_x2_x2=zero,
+        jet=jet,
         x_dependent=True,
         xi2_derivative=deriv,
     )
@@ -238,6 +236,13 @@ def graph_shear() -> GraphFn:
 
 def graph_tilted_circle(tilt: float = 0.1) -> GraphFn:
     """a = sqrt(1 - xi2^2) + tilt * x2 * xi2^2: curved branch with x-dependence."""
+
+    def jet(x1, x2, xi2):
+        c0, c1, c2 = _circle_jet(xi2)
+        x2, xi2 = np.asarray(x2), np.asarray(xi2)
+        sq, tx2 = xi2 ** 2, 2.0 * tilt * x2
+        return (c0 + tilt * x2 * sq, c1 + tx2 * xi2, tilt * sq, 2.0 * tilt * xi2,
+                c2 + tx2, None)
 
     def deriv(x1, x2, xi2, order):
         if order > _CIRCLE_MAX_ORDER:
@@ -252,15 +257,9 @@ def graph_tilted_circle(tilt: float = 0.1) -> GraphFn:
             return base + 2.0 * tilt * x2a
         return base
 
-    zero = lambda x1, x2, xi2: np.zeros(np.broadcast(x1, x2, xi2).shape)
     return GraphFn(
         name="tilted_circle",
-        value=lambda x1, x2, xi2: _circle_sqrt(xi2, 0) + tilt * np.asarray(x2) * np.asarray(xi2) ** 2,
-        d_xi2=lambda x1, x2, xi2: _circle_sqrt(xi2, 1) + 2.0 * tilt * np.asarray(x2) * np.asarray(xi2),
-        d_x2=lambda x1, x2, xi2: tilt * np.asarray(xi2) ** 2 + 0.0 * np.asarray(x2),
-        d2_xi2_xi2=lambda x1, x2, xi2: _circle_sqrt(xi2, 2) + 2.0 * tilt * np.asarray(x2) + 0.0 * np.asarray(xi2),
-        d2_x2_xi2=lambda x1, x2, xi2: 2.0 * tilt * np.asarray(xi2) + 0.0 * np.asarray(x2),
-        d2_x2_x2=zero,
+        jet=jet,
         x_dependent=True,
         xi2_derivative=deriv,
     )
@@ -276,15 +275,13 @@ def graph_sum(g1: GraphFn, g2: GraphFn) -> GraphFn:
             return None
         return d1 + d2
 
-    pair = lambda f1, f2: (lambda x1, x2, xi2: f1(x1, x2, xi2) + f2(x1, x2, xi2))
+    def jet(x1, x2, xi2):
+        return tuple(p if q is None else q if p is None else p + q
+                     for p, q in zip(g1.jet(x1, x2, xi2), g2.jet(x1, x2, xi2)))
+
     return GraphFn(
         name=f"{g1.name}+{g2.name}",
-        value=pair(g1.value, g2.value),
-        d_xi2=pair(g1.d_xi2, g2.d_xi2),
-        d_x2=pair(g1.d_x2, g2.d_x2),
-        d2_xi2_xi2=pair(g1.d2_xi2_xi2, g2.d2_xi2_xi2),
-        d2_x2_xi2=pair(g1.d2_x2_xi2, g2.d2_x2_xi2),
-        d2_x2_x2=pair(g1.d2_x2_x2, g2.d2_x2_x2),
+        jet=jet,
         x_dependent=g1.x_dependent or g2.x_dependent,
         xi2_derivative=deriv,
     )
@@ -447,25 +444,17 @@ def contact_perturbed_circle(k: int, c: float) -> SymbolSpec:
 
 def flat_contact(k: int, c: float) -> SymbolSpec:
     """p(xi) = xi1 - c * xi2^(k+1): local normal form of kth-order contact."""
-    g = graph_monomial(k, c)
-    return SymbolSpec(
-        family="flat_contact",
-        label=f"flat_contact(k={k}, c={c})",
-        params={"k": k, "c": c},
-        x_dependent=False,
-        value=lambda x1, x2, xi1, xi2: np.asarray(xi1) - g.value(x1, x2, xi2),
-        xi1_partial=lambda x1, x2, xi1, xi2: np.ones(np.broadcast(xi1, xi2).shape),
-        xi2_partial=lambda x1, x2, xi1, xi2: -g.d_xi2(x1, x2, xi2) + 0.0 * np.asarray(xi1),
-        _graph=lambda x, xi0: GraphBranch(
-            lambda t: g.value(0.0, 0.0, t),
-            lambda t, r: g.xi2_derivative(0.0, 0.0, t, r),
-            label="flat_contact_branch",
-        ),
-    )
+    return replace(graph_symbol(graph_monomial(k, c)), family="flat_contact",
+                   label=f"flat_contact(k={k}, c={c})", params={"k": k, "c": c})
 
 
 def graph_symbol(graph_fn: GraphFn) -> SymbolSpec:
     """p(x, xi) = xi1 - a(x, xi2) for a catalog graph a."""
+
+    def xi2_partial(x1, x2, xi1, xi2):  # -a_xi2, zeros where structurally zero
+        a_xi = graph_fn.jet(x1, x2, xi2)[1]
+        return np.zeros(np.broadcast(x2, xi1, xi2).shape) - (0.0 if a_xi is None else a_xi)
+
     return SymbolSpec(
         family="graph",
         label=f"graph[{graph_fn.name}]",
@@ -473,7 +462,7 @@ def graph_symbol(graph_fn: GraphFn) -> SymbolSpec:
         x_dependent=graph_fn.x_dependent,
         value=lambda x1, x2, xi1, xi2: np.asarray(xi1) - graph_fn.value(x1, x2, xi2),
         xi1_partial=lambda x1, x2, xi1, xi2: np.ones(np.broadcast(xi1, xi2).shape),
-        xi2_partial=lambda x1, x2, xi1, xi2: -graph_fn.d_xi2(x1, x2, xi2) + 0.0 * np.asarray(xi1),
+        xi2_partial=xi2_partial,
         _graph=lambda x, xi0: GraphBranch(
             lambda t: graph_fn.value(x[0], x[1], t),
             lambda t, r: graph_fn.xi2_derivative(x[0], x[1], t, r),

@@ -451,7 +451,8 @@ def coefficient_norm_table(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
     """Per-scale, per-band L^2_{b, xi2} norms, one scale in memory at a time.
 
     One 2-D transform up front; the power over b of each (scale, xi2) is Parseval's
-    sum over the stuffed spectrum.  Returns 'total' (n_a,) and 'bands' (n_a, J + 1).
+    sum over the folded spectrum for s | N, else the sum over the b lattice of one
+    inverse transform.  Returns 'total' (n_a,) and 'bands' (n_a, J + 1).
     """
     g = v.grid
     a_grid = _check_scales(g, a_grid)
@@ -462,8 +463,13 @@ def coefficient_norm_table(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
     strides = np.array([_b_stride(g, a, b_max_step) for a in a_grid])
     power = np.empty((len(a_grid), g.points_per_axis))  # over b, per (scale, xi2)
     for i, stride in enumerate(strides):
-        z = _stuffed_spectrum(np.multiply(spec, an[i][:, None], out=buf), stride)
-        power[i] = np.sum(z.real ** 2 + z.imag ** 2, axis=0) / len(z)
+        y = np.multiply(spec, an[i][:, None], out=buf)
+        if g.points_per_axis % stride:
+            z = np.fft.ifft(y, axis=0, out=y)[::stride]
+            power[i] = np.sum(z.real ** 2 + z.imag ** 2, axis=0)
+        else:
+            z = _stuffed_spectrum(y, stride)
+            power[i] = np.sum(z.real ** 2 + z.imag ** 2, axis=0) / len(z)
     power *= (strides * g.dx * g.dxi)[:, None]
     bands = np.sqrt(np.sum(power[:, None, :] * mults2, axis=-1))
     return {"a": a_grid, "total": np.sqrt(power.sum(axis=1)), "bands": bands, "J": part.J}

@@ -123,6 +123,38 @@ symbol = circle_minus_one
         assert parse_symbol_expr("contact_circle(k=2, c=1)").params["k"] == 2
         assert parse_symbol_expr("contact_circle(k=2.0, c=1)").params["k"] == 2
 
+    @pytest.mark.parametrize("stage, key, bad, good", [
+        ("flat_quasimode", "k", "1.5", "2.0"),
+        ("cwt_norms", "k", "1.5", "1"),
+        ("cwt_norms", "per_decade", "2.5", "24"),
+        ("kernel", "k", "1.5", "1"),
+        ("kernel", "j_list", "0 1.5", "0 2.0"),
+        ("egorov", "k_list", "1 2.5", "1 2"),
+        ("defect", "powers", "1 0.5", "1 0"),
+    ])
+    def test_fractional_stage_integer_refused(self, stage, key, bad, good):
+        # int() used to run k = 1.5 as k = 1, with no error row
+        extra = "symbol = xi1\n" if stage == "defect" else ""
+        text = MINIMAL + f"\n[stage {stage}]\n{extra}{key} = {{}}\n"
+        with pytest.raises(ConfigError, match=f"{key} must be an integer, got {bad.split()[-1]}"):
+            parse_config(text.format(bad))
+        value = parse_config(text.format(good)).stages[-1].params[key]
+        values = value if isinstance(value, list) else [value]
+        assert values == [int(float(v)) for v in good.split()]
+        assert all(type(v) is int for v in values)
+
+    def test_duplicate_keys_refused(self):
+        # the last value used to win silently
+        with pytest.raises(ConfigError, match=r"duplicate key 'h_list' in \[experiment\]"):
+            parse_config(MINIMAL.replace("h_list = 2^-5 2^-6 2^-7", "h_list = 2^-5\nh_list = 2^-6"))
+        with pytest.raises(ConfigError, match=r"duplicate key 'alpha' in \[stage construct\]"):
+            parse_config(MINIMAL.replace("alpha = 0.5", "alpha = 0.5\nalpha = 0.25"))
+        with pytest.raises(ConfigError, match=r"duplicate key 'limit' in \[assert cap\]"):
+            parse_config(MINIMAL + "\n[assert cap]\nkind = value_max\nquantity = lp_norm\n"
+                                   "limit = 1\nlimit = 2\n")
+        twice = MINIMAL + "\n[stage construct]\nalpha = 0.25\n\n[stage norms]\np = 2\n"
+        assert [s.params for s in parse_config(twice).stages][2] == {"alpha": 0.25}
+
 
 class TestShippedConfigs:
     def test_catalog_complete(self):

@@ -23,8 +23,10 @@ from qmlab.quasimodes import build_graph_adapted_quasimode, defect, plane_wave
 from qmlab.symbols import (
     ContactReport,
     GraphFn,
+    _circle_sqrt,
     contact_order,
     graph_circle,
+    graph_flat,
     graph_monomial,
     graph_parabola,
     graph_shear,
@@ -109,6 +111,101 @@ class TestFlow:
         assert abs(y_back - math.exp(-0.3)) <= 1e-12
 
 
+def tilted_circle_partials(tilt):
+    """a = sqrt(1 - xi2^2) + tilt x2 xi2^2 and its five partials as separate callables."""
+    def partials(x1, x2, xi2):
+        x2, xi2 = np.asarray(x2), np.asarray(xi2)
+        return (_circle_sqrt(xi2, 0) + tilt * x2 * xi2 ** 2,
+                _circle_sqrt(xi2, 1) + 2.0 * tilt * x2 * xi2,
+                tilt * xi2 ** 2 + 0.0 * x2,
+                2.0 * tilt * xi2 + 0.0 * x2,
+                _circle_sqrt(xi2, 2) + 2.0 * tilt * x2 + 0.0 * xi2,
+                np.zeros(np.broadcast(x1, x2, xi2).shape))
+
+    return tuple(lambda x1, x2, xi2, i=i: partials(x1, x2, xi2)[i] for i in range(6))
+
+
+def jet_partials(graph):
+    """The six jet entries as separate callables, structural zeros filled in."""
+
+    def entry(i):
+        def f(x1, x2, xi2):
+            v = graph.jet(x1, x2, xi2)[i]
+            return np.zeros(np.broadcast(x1, x2, xi2).shape) if v is None else v
+        return f
+
+    return tuple(entry(i) for i in range(6))
+
+
+def oracle_rhs(parts, t, y, xi, jac):
+    a, a_xi, a_y, a_yxi, a_xixi, a_yy = (np.asarray(f(t, y, xi), dtype=float) for f in parts)
+    djac = np.empty_like(jac)
+    djac[..., 0, 0] = a_yxi * jac[..., 0, 0] + a_xixi * jac[..., 1, 0]
+    djac[..., 0, 1] = a_yxi * jac[..., 0, 1] + a_xixi * jac[..., 1, 1]
+    djac[..., 1, 0] = -a_yy * jac[..., 0, 0] - a_yxi * jac[..., 1, 0]
+    djac[..., 1, 1] = -a_yy * jac[..., 0, 1] - a_yxi * jac[..., 1, 1]
+    return a_xi, -a_y, djac, xi * a_xi - a
+
+
+def oracle_march(parts, y, xi, jac, action, t0, dt, steps):
+    for s in range(steps):
+        t = t0 + s * dt
+        k1 = oracle_rhs(parts, t, y, xi, jac)
+        k2 = oracle_rhs(parts, t + dt / 2, y + dt / 2 * k1[0], xi + dt / 2 * k1[1], jac + dt / 2 * k1[2])
+        k3 = oracle_rhs(parts, t + dt / 2, y + dt / 2 * k2[0], xi + dt / 2 * k2[1], jac + dt / 2 * k2[2])
+        k4 = oracle_rhs(parts, t + dt, y + dt * k3[0], xi + dt * k3[1], jac + dt * k3[2])
+        y = y + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        xi = xi + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        jac = jac + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        action = action + dt / 6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+    return y, xi, jac, action
+
+
+def oracle_flow(parts, y_init, xi_init, x1_max, dt, save_at):
+    """RK4 with six partial callables and the strided (..., 2, 2) Jacobian.
+
+    Snapshots (y, xi, jac, action) are taken at the same steps as integrate_flow.
+    """
+    n_steps = max(1, int(math.ceil((x1_max / dt) * (1.0 - 1e-12))))
+    dt = x1_max / n_steps
+    y = np.repeat(y_init[:, None], len(xi_init), axis=1)
+    xi = np.repeat(xi_init[None, :], len(y_init), axis=0)
+    jac = np.zeros(y.shape + (2, 2))
+    jac[..., 0, 0] = 1.0
+    jac[..., 1, 1] = 1.0
+    state, snaps, prev = (y, xi, jac, np.zeros_like(y)), [], 0
+    for s in sorted({int(round(t / dt)) for t in save_at} | {0}):
+        state = oracle_march(parts, *state, prev * dt, dt, s - prev)
+        prev = s
+        snaps.append(state)
+    return [np.stack(c) for c in zip(*snaps)]
+
+
+class TestFlowOracle:
+    """integrate_flow (jet, seven flat state arrays) is bitwise the six-callable march."""
+
+    y0 = np.linspace(-2.0, 2.0, 33)
+    xi0 = np.linspace(-1.3, 1.3, 17)  # crosses the circle seam at |xi2| = 0.95
+
+    def check(self, graph, parts):
+        fl = integrate_flow(graph, self.y0, self.xi0, 0.3, dt=1e-3, save_at=[0.1, 0.3])
+        want = oracle_flow(parts, self.y0, self.xi0, 0.3, 1e-3, [0.1, 0.3])
+        assert fl.jac.shape == (3, 33, 17, 2, 2)
+        for got, ref in zip((fl.y_of, fl.xi_of, fl.jac, fl.action), want):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("tilt", [0.5, 0.3])  # 0.3 is not dyadic: products round
+    def test_tilted_circle_bitwise(self, tilt):
+        self.check(graph_tilted_circle(tilt), tilted_circle_partials(tilt))
+
+    @pytest.mark.parametrize("graph", [
+        graph_circle(), graph_shear(), graph_flat(), graph_parabola(0.5),
+        graph_sum(graph_tilted_circle(0.1), graph_monomial(2, 1.0)),
+    ], ids=lambda g: g.name)
+    def test_structural_zeros_skipped_bitwise(self, graph):
+        self.check(graph, jet_partials(graph))
+
+
 class TestPhase:
     def test_constant_coefficient_closed_form(self):
         g = GridSpec(8.0, 128, 0.1)
@@ -165,17 +262,12 @@ class TestPhase:
 
     def test_caustic_shortens_horizon(self):
         # rotational generator: dy/dy0 = cos(t) crosses the threshold before pi/2
-        zero = lambda x1, x2, xi2: np.zeros(np.broadcast(x1, x2, xi2).shape)
-        one = lambda x1, x2, xi2: np.ones(np.broadcast(x1, x2, xi2).shape)
-        osc = GraphFn(
-            name="oscillator",
-            value=lambda x1, x2, xi2: (np.asarray(x2) ** 2 + np.asarray(xi2) ** 2) / 2.0,
-            d_xi2=lambda x1, x2, xi2: np.asarray(xi2) + 0.0 * np.asarray(x2),
-            d_x2=lambda x1, x2, xi2: np.asarray(x2) + 0.0 * np.asarray(xi2),
-            d2_xi2_xi2=one, d2_x2_xi2=zero, d2_x2_x2=one,
-            x_dependent=True,
-            xi2_derivative=lambda x1, x2, xi2, order: None,
-        )
+        def jet(x1, x2, xi2):
+            x2, xi2 = np.asarray(x2), np.asarray(xi2)
+            return (x2 ** 2 + xi2 ** 2) / 2.0, xi2, x2, None, 1.0, 1.0
+
+        osc = GraphFn(name="oscillator", jet=jet, x_dependent=True,
+                      xi2_derivative=lambda x1, x2, xi2, order: None)
         g = GridSpec(8.0, 64, 0.1)
         y = np.linspace(-2, 2, 65)
         xi = np.linspace(-1, 1, 17)

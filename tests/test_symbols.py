@@ -8,8 +8,11 @@ import pytest
 from qmlab.grid import Field2D, GridSpec, random_field, semiclassical_fft
 from qmlab.quasimodes import plane_wave
 from qmlab.symbols import (
+    CIRCLE_SEAM,
     ContactError,
     CostGuardError,
+    _circle_jet,
+    _circle_sqrt,
     apply_left_quantization,
     circle_minus_one,
     contact_order,
@@ -17,9 +20,12 @@ from qmlab.symbols import (
     custom_symbol,
     flat_contact,
     graph_catalog,
+    graph_circle,
     graph_flat,
     graph_monomial,
     graph_of,
+    graph_parabola,
+    graph_shear,
     graph_sum,
     graph_symbol,
     graph_tilted_circle,
@@ -267,3 +273,67 @@ class TestQuantization:
         u = plane_wave(g, (xi[20], xi[22]))
         out = apply_left_quantization(xi2_power_symbol(3), u)
         np.testing.assert_allclose(out.values, xi[22] ** 3 * u.values, atol=1e-12)
+
+
+def circle_sqrt_where(t, order):
+    """Orders 0-2 of the seam-continued sqrt(1 - t^2), each branch picked by np.where."""
+    t = np.asarray(t, dtype=float)
+    u = np.abs(t)
+    inside = u <= CIRCLE_SEAM
+    uc = np.where(inside, u, CIRCLE_SEAM)
+    w = 1.0 - uc * uc
+    r = np.sqrt(w)
+    d = u - CIRCLE_SEAM
+    v1, v2 = -uc / r, -w ** -1.5
+    if order == 0:
+        return np.where(inside, r, r + v1 * d + 0.5 * v2 * d * d)
+    if order == 1:
+        return np.sign(t) * np.where(inside, -uc / r, v1 + v2 * d)
+    return np.where(inside, -w ** -1.5, v2)
+
+
+JET_GRAPHS = [graph_circle(), graph_parabola(0.7), graph_flat(), graph_monomial(2, 1.3),
+              graph_shear(), graph_tilted_circle(0.5),
+              graph_sum(graph_tilted_circle(0.1), graph_monomial(1, 1.0))]
+
+
+class TestGraphJets:
+    SEAM_POINTS = [0.0, 0.5, -0.5, 0.95, -0.95, 0.97, -0.97, 1.3, -1.3]
+
+    @pytest.mark.parametrize("points", [SEAM_POINTS, SEAM_POINTS[:5]], ids=["seam", "inside"])
+    def test_circle_jet_bitwise(self, points):
+        t = np.array(points)
+        for r, got in enumerate(_circle_jet(t)):
+            assert got.tobytes() == np.asarray(_circle_sqrt(t, r)).tobytes()
+            assert got.tobytes() == circle_sqrt_where(t, r).tobytes()
+        for tv in points:
+            for r in range(3):
+                assert _circle_sqrt(tv, r) == float(circle_sqrt_where(tv, r))
+
+    @pytest.mark.parametrize("g", JET_GRAPHS, ids=lambda g: g.name)
+    def test_jet_matches_finite_differences(self, g):
+        x2, xi2 = np.meshgrid([-1.0, 0.5], [-0.6, 0.3, 0.8], indexing="ij")
+        eps = 1e-4
+
+        def f(dy, dxi):
+            return np.broadcast_to(g.value(0.2, x2 + dy * eps, xi2 + dxi * eps), x2.shape)
+
+        fd = (
+            f(0, 0),
+            (f(0, 1) - f(0, -1)) / (2 * eps),
+            (f(1, 0) - f(-1, 0)) / (2 * eps),
+            (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4 * eps ** 2),
+            (f(0, 1) - 2 * f(0, 0) + f(0, -1)) / eps ** 2,
+            (f(1, 0) - 2 * f(0, 0) + f(-1, 0)) / eps ** 2,
+        )
+        jet = g.jet(0.2, x2, xi2)
+        assert len(jet) == 6
+        for got, want in zip(jet, fd):
+            got = np.zeros(x2.shape) if got is None else np.broadcast_to(got, x2.shape)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+        # the closed-form xi2-derivatives used by contact detection agree with the jet
+        for order, i in ((0, 0), (1, 1), (2, 4)):
+            got = np.zeros(x2.shape) if jet[i] is None else np.broadcast_to(jet[i], x2.shape)
+            np.testing.assert_allclose(g.xi2_derivative(0.2, x2, xi2, order), got,
+                                       rtol=1e-13, atol=1e-13)
+
