@@ -492,8 +492,13 @@ class RunReport:
 
 
 def _collect(rows, quantity: str, p=None):
-    """(h, value) pairs for a quantity (exact match) across successful rows."""
+    """(h, value) pairs for a quantity (exact match) across successful rows.
+
+    Without ``p`` the quantity must carry a single p: pairs from several p
+    would be fitted as one power law, so that is refused.
+    """
     out = []
+    found = set()
     for row in rows:
         if row.error:
             continue
@@ -502,6 +507,10 @@ def _collect(rows, quantity: str, p=None):
             if q == quantity and (p is None or (kp is not None and float(kp) == float(p))
                                   or (p == math.inf and kp == math.inf)):
                 out.append((row.h, val))
+                found.add(kp)
+    if p is None and len(found) > 1:
+        listed = ", ".join(f"{v:g}" for v in sorted(found))
+        raise ConfigError([f"{quantity} is measured at p = {listed}; the assertion must name one p"])
     return out
 
 
@@ -559,6 +568,8 @@ def evaluate_assertions(cfg: ExperimentConfig, rows) -> list[AssertionResult]:
             else:
                 results.append(AssertionResult(spec.name, kind, math.nan, None, None, False,
                                                "unknown assertion kind"))
+        except ConfigError:
+            raise
         except Exception as exc:
             results.append(AssertionResult(spec.name, kind, math.nan, None, None, False,
                                            f"{type(exc).__name__}: {exc}"))

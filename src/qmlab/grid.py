@@ -8,6 +8,11 @@ m = -N/2 .. N/2-1, so the transform pair
     IFT[U](x)  = (2 pi h)^{-1} * sum_xi U(xi) exp(+i <x, xi>/h) dxi^2
 
 is exactly unitary at the discrete level (dx * dxi * N = 2 pi h per axis).
+
+A field made by :func:`semiclassical_ifft` keeps its spectrum, and rescaling
+carries it; every other construction leaves it ``None``, so consumers such as
+the defect measurements can read a carried spectrum instead of transforming.
+
 All operations are pure functions; fields are immutable after construction
 and norms use numpy's fixed-order pairwise summation, so results are
 bit-reproducible run to run.
@@ -143,20 +148,30 @@ def _check_values(grid: GridSpec, values: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field2D:
-    """Complex samples u(x1, x2); row index = x1, column index = x2."""
+    """Complex samples u(x1, x2); row index = x1, column index = x2.
+
+    ``spectrum``: the spectrum the samples were synthesized from by
+    :func:`semiclassical_ifft` (then only rescaled), else ``None``.
+    """
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
+    spectrum: SpectralField2D | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _check_values(self.grid, self.values, "field"))
         self.values.setflags(write=False)
+        if self.spectrum is not None and self.spectrum.grid != self.grid:
+            raise GridError("spectrum grid differs from the field grid")
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2)) * self.grid.dx)
 
     def scaled(self, factor: complex) -> "Field2D":
-        return Field2D(self.grid, self.values * factor)
+        spec = self.spectrum
+        if spec is not None:
+            spec = SpectralField2D(self.grid, spec.values * factor, spec.warnings)
+        return Field2D(self.grid, self.values * factor, spec)
 
     def normalized(self) -> "Field2D":
         nrm = self.l2_norm()
@@ -200,12 +215,12 @@ def semiclassical_fft(u: Field2D) -> SpectralField2D:
 
 
 def semiclassical_ifft(spec: SpectralField2D) -> Field2D:
-    """Exact inverse of :func:`semiclassical_fft`."""
+    """Exact inverse of :func:`semiclassical_fft`; the field keeps ``spec``."""
     g = spec.grid
     ph = _alternating_signs(g.points_per_axis)
     coef = g.dx ** 2 / (2.0 * np.pi * g.h)
     vals = np.fft.ifft2(np.fft.ifftshift(spec.values / (coef * ph[:, None] * ph[None, :])))
-    return Field2D(g, vals)
+    return Field2D(g, vals, spec)
 
 
 def sfft1d(values: np.ndarray, grid: GridSpec, axis: int = -1) -> np.ndarray:
@@ -278,18 +293,24 @@ def write_field(u: Field2D, path) -> None:
 
 
 def read_field(path) -> Field2D:
+    """Read a :func:`write_field` container; the header is validated as a
+    :class:`GridSpec` before the payload, and nothing may follow the payload."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC_FIELD:
             raise GridError(f"bad magic {magic!r}, expected {MAGIC_FIELD!r}")
-        (n,) = struct.unpack("<q", fh.read(8))
-        (L,) = struct.unpack("<d", fh.read(8))
-        (h,) = struct.unpack("<d", fh.read(8))
+        header = fh.read(24)
+        if len(header) != 24:
+            raise GridError("truncated field header")
+        n, L, h = struct.unpack("<qdd", header)
+        grid = GridSpec(L, n, h)
         raw = fh.read(16 * n * n)
         if len(raw) != 16 * n * n:
             raise GridError("truncated field file")
+        if fh.read(1):
+            raise GridError(f"trailing bytes after the {n}x{n} payload")
         values = np.frombuffer(raw, dtype="<c16").reshape(n, n).astype(np.complex128)
-    return Field2D(GridSpec(L, int(n), h), values)
+    return Field2D(grid, values)
 
 
 def export_modulus_csv(u: Field2D, path, x1: float | None = None) -> None:

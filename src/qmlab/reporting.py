@@ -33,7 +33,8 @@ def measurements_csv(report: RunReport) -> str:
     name = report.config.name
     for row in report.rows:
         if row.error:
-            lines.append(f"{name},{_fmt(row.h)},,,,,sweep_error,nan  # {row.error}")
+            # the reason may contain commas; the markdown report lists it
+            lines.append(f"{name},{_fmt(row.h)},,,,,sweep_error,nan")
             continue
         for (quantity, p, k, j, alpha), value in row.measurements.items():
             lines.append(

@@ -54,7 +54,6 @@ __all__ = [
     "graph_catalog",
     "contact_order",
     "apply_left_quantization",
-    "graph_of",
 ]
 
 CIRCLE_SEAM = 0.95  # |xi2| beyond which sqrt(1 - xi2^2) is Taylor-continued
@@ -367,7 +366,7 @@ class NewtonBranch(GraphBranch):
 class SymbolSpec:
     """Named, parameterized symbol with evaluators.
 
-    value / xi1_partial / xi2_partial take broadcastable (x1, x2, xi1, xi2).
+    value / xi1_partial take broadcastable (x1, x2, xi1, xi2).
     ``graph`` returns the branch of {p = 0} through a requested point.
     """
 
@@ -377,7 +376,6 @@ class SymbolSpec:
     x_dependent: bool = False
     value: Callable = None
     xi1_partial: Callable = None
-    xi2_partial: Callable = None
     _graph: Callable = None  # (x, xi0) -> GraphBranch
 
     def graph(self, x=(0.0, 0.0), xi0=None) -> GraphBranch:
@@ -407,7 +405,6 @@ def circle_minus_one() -> SymbolSpec:
         x_dependent=False,
         value=lambda x1, x2, xi1, xi2: np.asarray(xi1) ** 2 + np.asarray(xi2) ** 2 - 1.0,
         xi1_partial=lambda x1, x2, xi1, xi2: 2.0 * np.asarray(xi1) + 0.0 * np.asarray(xi2),
-        xi2_partial=lambda x1, x2, xi1, xi2: 2.0 * np.asarray(xi2) + 0.0 * np.asarray(xi1),
         _graph=graph,
     )
 
@@ -437,7 +434,6 @@ def contact_perturbed_circle(k: int, c: float) -> SymbolSpec:
         x_dependent=False,
         value=lambda x1, x2, xi1, xi2: np.asarray(xi1) - gval(xi2),
         xi1_partial=lambda x1, x2, xi1, xi2: np.ones(np.broadcast(xi1, xi2).shape),
-        xi2_partial=lambda x1, x2, xi1, xi2: -(gder(xi2, 1)) + 0.0 * np.asarray(xi1),
         _graph=lambda x, xi0: GraphBranch(gval, gder, label="perturbed_circle_branch"),
     )
 
@@ -451,10 +447,6 @@ def flat_contact(k: int, c: float) -> SymbolSpec:
 def graph_symbol(graph_fn: GraphFn) -> SymbolSpec:
     """p(x, xi) = xi1 - a(x, xi2) for a catalog graph a."""
 
-    def xi2_partial(x1, x2, xi1, xi2):  # -a_xi2, zeros where structurally zero
-        a_xi = graph_fn.jet(x1, x2, xi2)[1]
-        return np.zeros(np.broadcast(x2, xi1, xi2).shape) - (0.0 if a_xi is None else a_xi)
-
     return SymbolSpec(
         family="graph",
         label=f"graph[{graph_fn.name}]",
@@ -462,7 +454,6 @@ def graph_symbol(graph_fn: GraphFn) -> SymbolSpec:
         x_dependent=graph_fn.x_dependent,
         value=lambda x1, x2, xi1, xi2: np.asarray(xi1) - graph_fn.value(x1, x2, xi2),
         xi1_partial=lambda x1, x2, xi1, xi2: np.ones(np.broadcast(xi1, xi2).shape),
-        xi2_partial=xi2_partial,
         _graph=lambda x, xi0: GraphBranch(
             lambda t: graph_fn.value(x[0], x[1], t),
             lambda t, r: graph_fn.xi2_derivative(x[0], x[1], t, r),
@@ -472,7 +463,7 @@ def graph_symbol(graph_fn: GraphFn) -> SymbolSpec:
 
 
 def custom_symbol(value, label="custom", x_dependent=False, xi1_partial=None,
-                  xi2_partial=None, graph=None) -> SymbolSpec:
+                  graph=None) -> SymbolSpec:
     """Symbol from plain callables; graph defaults to a Newton solve."""
 
     def default_graph(x, xi0):
@@ -488,7 +479,6 @@ def custom_symbol(value, label="custom", x_dependent=False, xi1_partial=None,
         x_dependent=x_dependent,
         value=value,
         xi1_partial=xi1_partial or fd_xi1,
-        xi2_partial=xi2_partial,
         _graph=graph or default_graph,
     )
     return spec
@@ -617,11 +607,6 @@ def contact_order(a_sym: SymbolSpec, q_sym: SymbolSpec, xi0, max_order: int,
         curvature=abs(float(curv)),
         inconclusive=inconclusive,
     )
-
-
-def graph_of(sym: SymbolSpec, x=(0.0, 0.0), xi0=None) -> GraphBranch:
-    """The branch of {p(x, .) = 0} as a callable xi2 -> xi1."""
-    return sym.graph(x=x, xi0=xi0)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,49 @@ tol = 0.01
         assert csv.splitlines()[0] == "experiment,h,p,k,j,alpha,quantity,value"
         assert any("lp_norm" in line for line in csv.splitlines())
 
+    def test_p_less_slope_over_several_p_refused(self):
+        # a slope without p used to fit p = 6, 8 and inf together
+        text = MINIMAL.replace("p = inf", "p = 6 8 inf") + """
+[assert blended]
+kind = slope
+quantity = lp_norm
+expected = -0.2
+tol = 0.5
+"""
+        cfg = parse_config(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ConfigError, match=r"p = 6, 8, inf"):
+                run(cfg)
+
+    def test_p_less_slope_over_one_p_accepted(self):
+        text = MINIMAL + """
+[assert only_p]
+kind = slope_min
+quantity = lp_norm
+expected = -0.25
+tol = 0.05
+"""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run(parse_config(text))
+        assert report.passed
+
+    def test_sweep_error_row_is_well_formed_csv(self):
+        import csv
+        import io
+
+        # lp_norm refuses p = 0.5 at every h, with a message that contains a comma
+        text = MINIMAL.replace("2^-5 2^-6 2^-7", "0.5 2^-5").replace("p = inf", "p = 2 0.5")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run(parse_config(text))
+        assert "," in report.rows[1].error
+        rows = list(csv.reader(io.StringIO(measurements_csv(report))))
+        assert all(len(r) == len(rows[0]) for r in rows)
+        assert rows[-1][-2:] == ["sweep_error", "nan"]
+        assert report.rows[1].error in report_markdown(report)
+
     def test_stage_refusal_recorded(self):
         text = """
 [experiment]

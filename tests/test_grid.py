@@ -1,9 +1,12 @@
 """Grid, field and transform contracts."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from qmlab.grid import (
+    MAGIC_FIELD,
     Field2D,
     GridSpec,
     GridError,
@@ -230,6 +233,28 @@ class TestSerialization:
         path = tmp_path / "junk.qmf"
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(GridError):
+            read_field(path)
+
+    @pytest.mark.parametrize("n", [-4, 17, 0])
+    def test_bad_header_n_refused_before_payload(self, tmp_path, n):
+        path = tmp_path / "bad_n.qmf"
+        path.write_bytes(MAGIC_FIELD + struct.pack("<qdd", n, 5.0, 0.2) + b"\0" * 64)
+        with pytest.raises(GridError, match="points_per_axis"):
+            read_field(path)
+
+    def test_truncated_header_refused(self, tmp_path):
+        path = tmp_path / "short.qmf"
+        path.write_bytes(MAGIC_FIELD + struct.pack("<q", 32))
+        with pytest.raises(GridError, match="header"):
+            read_field(path)
+
+    def test_trailing_bytes_refused(self, tmp_path):
+        g = GridSpec(5.0, 32, 0.2)
+        path = tmp_path / "long.qmf"
+        write_field(random_field(g, 3), path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(GridError, match="trailing"):
             read_field(path)
 
     def test_modulus_csv(self, tmp_path):

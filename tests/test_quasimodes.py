@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmlab.grid import GridSpec, lp_norm, semiclassical_fft
+from qmlab.grid import Field2D, GridSpec, lp_norm, semiclassical_fft, semiclassical_ifft, smoothstep
 from qmlab.quasimodes import (
     TAlphaSpec,
     UnderResolvedError,
@@ -20,12 +20,16 @@ from qmlab.quasimodes import (
     plane_wave,
     t_alpha_indicator,
 )
+from qmlab import quasimodes
 from qmlab.symbols import (
     circle_minus_one,
     contact_perturbed_circle,
+    custom_symbol,
     graph_circle,
+    graph_symbol,
     multiplier_symbol,
     xi1_symbol,
+    xi2_power_symbol,
 )
 
 H_SWEEP = [2.0 ** -e for e in range(5, 9)]
@@ -244,3 +248,98 @@ class TestAdaptedQuasimodes:
         rep = defect(factored, u, 1)
         assert rep.ratio_to_power <= 3.0
         assert localization_check(u, 4.0, side="x") <= 1e-6
+
+
+def full_mesh_indicator(spec: TAlphaSpec, grid: GridSpec) -> np.ndarray:
+    """The polar rectangle evaluated on every lattice point (no bounding box)."""
+    h, arc = spec.h, spec.h ** spec.alpha
+    xi1, xi2 = grid.xi_mesh()
+    rr = np.hypot(xi1, xi2)
+    theta0 = math.atan2(spec.omega0[1], spec.omega0[0])
+    ang = np.abs(np.angle(np.exp(1j * (np.arctan2(xi2, xi1) - theta0))))
+    if spec.smoothed_edges:
+        w = h / 8.0
+        vals = smoothstep((h - np.abs(rr - 1.0)) / w) * smoothstep((arc - ang) / w)
+    else:
+        vals = (np.abs(rr - 1.0) < h) & (ang < arc)
+    return vals.astype(np.complex128)
+
+
+ACCEPTANCE3_POWERS = ((1, 0), (0, 1), (1, 1), (2, 0))
+
+
+def defect_case(name):
+    """(quasimode carrying its spectrum, p1, p2) at N <= 256."""
+    if name.startswith("t_alpha"):
+        k = int(name[-1])
+        u, _ = build(2.0 ** -6, 1.0 / (k + 1))
+        return u, circle_minus_one(), contact_perturbed_circle(k, 1.0)
+    g = GridSpec(8.0, 256, 2.0 ** -5)
+    if name.startswith("flat"):
+        k = int(name[-1])
+        return build_flat_quasimode(g, k), xi1_symbol(), xi2_power_symbol(k + 1)
+    u = build_graph_adapted_quasimode(g, graph_circle(), 1)
+    return u, graph_symbol(graph_circle()), circle_minus_one()
+
+
+class TestSpectralSupport:
+    @pytest.mark.parametrize("case", ["t_alpha_k1", "t_alpha_k2", "flat_k1", "flat_k2",
+                                      "graph_adapted"])
+    def test_support_defect_matches_fft_path(self, case):
+        u, p1, p2 = defect_case(case)
+        assert u.spectrum is not None
+        stripped = Field2D(u.grid, u.values)  # no spectrum: the FFT path
+        for m1, m2 in ACCEPTANCE3_POWERS:
+            fast = joint_defect(p1, p2, u, m1, m2).defect
+            slow = joint_defect(p1, p2, stripped, m1, m2).defect
+            assert fast == pytest.approx(slow, rel=1e-12), (m1, m2)
+        for M in (1, 2):
+            assert defect(p2, u, M).defect == pytest.approx(
+                defect(p2, stripped, M).defect, rel=1e-12)
+
+    @pytest.mark.parametrize("smoothed", [False, True])
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 1.0 / 3.0, 1.0])
+    @pytest.mark.parametrize("omega0", [(1.0, 0.0), (0.6, 0.8)])
+    def test_indicator_bitwise_equal_to_full_mesh(self, omega0, alpha, smoothed):
+        for h in (2.0 ** -5, 2.0 ** -7):
+            grid = grid_for_t_alpha(h)
+            spec = TAlphaSpec(h=h, alpha=alpha, omega0=omega0, smoothed_edges=smoothed)
+            oracle = full_mesh_indicator(spec, grid)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if np.count_nonzero(oracle) < 8:
+                    with pytest.raises(UnderResolvedError):
+                        t_alpha_indicator(spec, grid)
+                    continue
+                chi = t_alpha_indicator(spec, grid)
+            assert np.array_equal(chi.values, oracle)
+
+    def test_scaling_carries_and_plain_construction_drops(self):
+        u, _ = build(2.0 ** -5, 0.5)
+        raw = semiclassical_ifft(u.spectrum)
+        assert raw.spectrum is u.spectrum
+        s = raw.scaled(2.0 - 1.0j)
+        np.testing.assert_array_equal(s.spectrum.values, u.spectrum.values * (2.0 - 1.0j))
+        n = raw.normalized()
+        np.testing.assert_allclose(n.spectrum.l2_norm(), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(semiclassical_fft(n).values, n.spectrum.values, atol=1e-12)
+        assert Field2D(u.grid, u.values).spectrum is None
+
+    def test_x_dependent_factor_never_uses_support(self, monkeypatch):
+        calls = []
+        real = quasimodes.apply_left_quantization
+
+        def counting(sym, v, force=False):
+            calls.append(sym.label)
+            return real(sym, v, force=force)
+
+        monkeypatch.setattr(quasimodes, "apply_left_quantization", counting)
+        u = build_flat_quasimode(GridSpec(4.0, 32, 0.25), 1)
+        bent = custom_symbol(lambda x1, x2, xi1, xi2: xi1 - 0.1 * x2 * xi2 ** 2,
+                             label="bent", x_dependent=True)
+        joint_defect(bent, xi1_symbol(), u, 1, 1)
+        defect(bent, u, 2)
+        assert calls == ["xi1", "bent", "bent", "bent"]
+        calls.clear()
+        joint_defect(xi1_symbol(), xi2_power_symbol(2), u, 1, 1)
+        assert calls == []

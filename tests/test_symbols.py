@@ -23,7 +23,6 @@ from qmlab.symbols import (
     graph_circle,
     graph_flat,
     graph_monomial,
-    graph_of,
     graph_parabola,
     graph_shear,
     graph_sum,
@@ -63,7 +62,7 @@ class TestContactOrder:
         a, q = circle_minus_one(), contact_perturbed_circle(2, 1.0)
         rep = contact_order(a, q, (1.0, 0.0), 5)
         assert rep.order == 2
-        g1, g2 = graph_of(a, xi0=(1.0, 0.0)), graph_of(q, xi0=(1.0, 0.0))
+        g1, g2 = a.graph(xi0=(1.0, 0.0)), q.graph(xi0=(1.0, 0.0))
         oracle = fd_contact_oracle(g1, g2, 0.0, 3)
         assert rep.first_nonzero_derivative == pytest.approx(oracle, rel=1e-4)
         # curvature of the circle branch at the contact point
@@ -114,16 +113,16 @@ class TestContactOrder:
 
 class TestGraphOf:
     def test_circle_branch(self):
-        br = graph_of(circle_minus_one(), xi0=(1.0, 0.0))
+        br = circle_minus_one().graph(xi0=(1.0, 0.0))
         t = np.linspace(-0.5, 0.5, 11)
         np.testing.assert_allclose(br(t), np.sqrt(1 - t ** 2), atol=1e-14)
 
     def test_negative_branch(self):
-        br = graph_of(circle_minus_one(), xi0=(-1.0, 0.0))
+        br = circle_minus_one().graph(xi0=(-1.0, 0.0))
         assert br(0.0) == pytest.approx(-1.0)
 
     def test_flat_contact_branch(self):
-        br = graph_of(flat_contact(2, 0.7))
+        br = flat_contact(2, 0.7).graph()
         t = np.linspace(-1, 1, 7)
         np.testing.assert_allclose(br(t), 0.7 * t ** 3, atol=1e-14)
 
@@ -133,7 +132,7 @@ class TestGraphOf:
             label="cubic",
             xi1_partial=lambda x1, x2, xi1, xi2: 3 * np.asarray(xi1) ** 2 + 1 + 0.0 * np.asarray(xi2),
         )
-        br = graph_of(cubic)
+        br = cubic.graph()
         for t in (-0.8, -0.1, 0.0, 0.4, 1.0):
             val = float(br(t))
             assert abs(val ** 3 + val - t) <= 1e-12
@@ -155,7 +154,7 @@ class TestGraphOf:
             label="cubic_square",
             xi1_partial=lambda x1, x2, xi1, xi2: 1 + 3 * np.asarray(xi1) ** 2 + 0.0 * np.asarray(xi2),
         )
-        br = graph_of(sym)
+        br = sym.graph()
         t = np.linspace(-0.02, 0.02, 9)
         np.testing.assert_array_equal(br(t), [br(v) for v in t])
 
