@@ -1,9 +1,7 @@
 """Command-line front end.
 
 Subcommands: construct, defect, propagate, cwt, kernel, sweep, report.
-Long-form flags only.  ``QML_THREADS`` caps the artifact's own parallelism
-(the reference implementation computes serially, so results are identical
-for every setting; the variable is honored for interface stability).
+Long-form flags only.
 
 Exit codes: 0 success / all assertions pass, 1 configuration or runtime
 error, 2 assertion failure.
@@ -44,13 +42,6 @@ def _read_config_arg(arg: str) -> str:
         with open(arg) as fh:
             return fh.read()
     return load_shipped_config(arg)
-
-
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("QML_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _cmd_construct(args) -> int:
@@ -153,7 +144,8 @@ def _cmd_report(args) -> int:
     for a in report.assertions:
         print(f"  [{'PASS' if a.passed else 'FAIL'}] {a.name}: measured={a.measured:.6g}"
               + (f" expected={a.expected:.6g}" if a.expected is not None else "")
-              + (f" tol={a.tol:.3g}" if a.tol is not None else ""))
+              + (f" tol={a.tol:.3g}" if a.tol is not None else "")
+              + (f" ({a.detail})" if not a.passed and a.detail else ""))
     return 0 if report.passed else 2
 
 
@@ -225,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _thread_cap()  # read once; serial implementation is thread-count independent
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

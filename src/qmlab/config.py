@@ -447,7 +447,7 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
                     # conjugated_symbol reads only the flow's graph, dt and end
                     # time, so one launch point suffices
                     fl = integrate_flow(a_g, [0.0], [0.0], x1, dt=1e-3, save_at=[x1])
-                    a_t, q_t, _ = conjugated_symbol(a_g, q_g, fl, x1)
+                    a_t, q_t = conjugated_symbol(a_g, q_g, fl, x1)
                     xi0 = (float(a_t.graph(x=(x1, 0.0))(0.0)), 0.0)
                     rep = contact_order(a_t, q_t, xi0, max_order=k + 2, x=(x1, 0.0))
                     measured = -1.0 if rep.order == math.inf else float(rep.order)

@@ -230,26 +230,14 @@ class PhaseTable:
         return i
 
     def phi_at(self, x1: float, y, xi):
-        """Phase values, broadcasting y against xi."""
+        """Phase values of an analytic table at any x1, broadcasting y against xi."""
+        if not self.analytic:
+            raise ValueError("phi_at needs an analytic phase table (x-independent generator); "
+                             "a tabulated table holds only its stored slices, none at x1 < 0")
         self._check_horizon(x1)
         y = np.asarray(y, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        if self.analytic:
-            return y * xi - x1 * np.asarray(self.graph.value(x1, 0.0, xi), dtype=float)
-        i = self.slice_index(x1)
-        table = self.phi[i]
-        yb, xib = np.broadcast_arrays(y, xi)
-        out = np.empty(yb.shape)
-        # cubic interpolation along y for each required xi column
-        cols = {}
-        xi_idx = np.searchsorted(self.xi_grid, xib.ravel())
-        for flat_i, (yy, col) in enumerate(zip(yb.ravel(), np.clip(xi_idx, 0, len(self.xi_grid) - 1))):
-            if abs(self.xi_grid[col] - xib.ravel()[flat_i]) > 1e-9:
-                raise ValueError("tabulated phase queried off the xi grid")
-            if col not in cols:
-                cols[col] = CubicSpline(self.y_grid, table[:, col])
-            out.ravel()[flat_i] = cols[col](yy)
-        return out
+        return y * xi - x1 * np.asarray(self.graph.value(x1, 0.0, xi), dtype=float)
 
     def _check_horizon(self, x1: float) -> None:
         if abs(x1) > self.x1_max + 1e-12:
@@ -463,10 +451,8 @@ def conjugated_symbol(a_graph: GraphFn, q_graph: GraphFn, flow: HamiltonianFlow,
                       x1: float):
     """Pull a and q back along the flow at time x1.
 
-    Returns (a_tilde, q_tilde, p2_tilde) as symbols: the tilde graphs
-    evaluate s(x1, y(x1; x2, xi2), xi(x1; x2, xi2)) at the frozen conjugation
-    time, and p2_tilde = xi1 + a_tilde - q_tilde carries the graph branch
-    xi1 = q_tilde - a_tilde for finite-difference contact checks.
+    Returns (a_tilde, q_tilde) as graph symbols: each evaluates
+    s(x1, y(x1; x2, xi2), xi(x1; x2, xi2)) at the frozen conjugation time.
     """
     a_graph = _as_graph_fn(a_graph)
     q_graph = _as_graph_fn(q_graph)
@@ -485,34 +471,8 @@ def conjugated_symbol(a_graph: GraphFn, q_graph: GraphFn, flow: HamiltonianFlow,
             return np.asarray(fn.value(x1, y, xi), dtype=float)
         return evaluate
 
-    a_tilde = pullback(a_graph)
-    q_tilde = pullback(q_graph)
-    a_sym = _pullback_graph_symbol(a_tilde, f"pullback[{a_graph.name}; x1={x1:g}]")
-    q_sym = _pullback_graph_symbol(q_tilde, f"pullback[{q_graph.name}; x1={x1:g}]")
-
-    def p2_value(x1v, x2v, xi1v, xi2v):
-        x2b, xi1b, xi2b = np.broadcast_arrays(np.asarray(x2v, dtype=float),
-                                              np.asarray(xi1v, dtype=float),
-                                              np.asarray(xi2v, dtype=float))
-        return xi1b + a_tilde(x2b, xi2b) - q_tilde(x2b, xi2b)
-
-    def p2_graph(x, xi0):
-        x2f = x[1]
-        return GraphBranch(
-            lambda t: q_tilde(x2f, np.asarray(t, dtype=float)) - a_tilde(x2f, np.asarray(t, dtype=float)),
-            None,
-            label="conjugated_branch",
-        )
-
-    p2 = custom_symbol(
-        p2_value,
-        label=f"conjugated[{a_graph.name} vs {q_graph.name}; x1={x1:g}]",
-        x_dependent=True,
-        xi1_partial=lambda x1v, x2v, xi1v, xi2v: np.ones(
-            np.broadcast(np.asarray(xi1v), np.asarray(xi2v)).shape),
-        graph=p2_graph,
-    )
-    return a_sym, q_sym, p2
+    return tuple(_pullback_graph_symbol(pullback(g), f"pullback[{g.name}; x1={x1:g}]")
+                 for g in (a_graph, q_graph))
 
 
 def quasimode_pushforward(table: PhaseTable, u: Field2D,
@@ -520,13 +480,15 @@ def quasimode_pushforward(table: PhaseTable, u: Field2D,
                           localization_radius: float | None = None) -> Field2D:
     """v(x1, .) = W(x1) u(x1, .) for every grid row x1.
 
-    Requires an O(1)-localized input (checked) and, for x-dependent
-    generators, a table containing every needed row slice; the shipped
-    experiments use x-independent generators where the multiplier form is
-    exact for all rows.
+    Requires an O(1)-localized input (checked) and an analytic table
+    (x-independent generator), whose multiplier form is exact for every row;
+    a tabulated table has no slices at the negative rows x1 < 0.
     """
     from .quasimodes import localization_check
 
+    if not table.analytic:
+        raise ValueError("quasimode_pushforward needs an analytic phase table (x-independent "
+                         "generator); a tabulated table has no slices at x1 < 0")
     g = u.grid
     if u.l2_norm() == 0.0:
         return Field2D(g, np.zeros_like(u.values))
@@ -536,12 +498,7 @@ def quasimode_pushforward(table: PhaseTable, u: Field2D,
         raise ValueError(
             f"input is not localized: {frac:.3e} of its mass lies outside "
             f"radius {radius:g} (tolerance {localization_tol:g})")
-    if table.analytic:
-        a_vals = np.asarray(table.graph.value(0.0, 0.0, g.xi_coords), dtype=float)
-        uhat_rows = sfft1d(u.values, g, axis=1)
-        phases = np.exp(-1j * g.x_coords[:, None] * a_vals[None, :] / g.h)
-        return Field2D(g, isfft1d(phases * uhat_rows, g, axis=1))
-    vals = np.empty_like(u.values)
-    for i, x1 in enumerate(g.x_coords):
-        vals[i] = apply_w(table, u.values[i], x1, g)
-    return Field2D(g, vals)
+    a_vals = np.asarray(table.graph.value(0.0, 0.0, g.xi_coords), dtype=float)
+    uhat_rows = sfft1d(u.values, g, axis=1)
+    phases = np.exp(-1j * g.x_coords[:, None] * a_vals[None, :] / g.h)
+    return Field2D(g, isfft1d(phases * uhat_rows, g, axis=1))

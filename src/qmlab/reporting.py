@@ -60,12 +60,13 @@ def report_markdown(report: RunReport) -> str:
         out.append("")
     out.append("## Assertions")
     out.append("")
-    out.append("| name | kind | measured | expected | tol | pass |")
-    out.append("|---|---|---|---|---|---|")
+    out.append("| name | kind | measured | expected | tol | pass | detail |")
+    out.append("|---|---|---|---|---|---|---|")
     for a in report.assertions:
+        detail = a.detail.replace("|", r"\|")  # a reason may quote |g1 - g2|
         out.append(
             f"| {a.name} | {a.kind} | {_fmt(a.measured)} | {_fmt(a.expected)} | "
-            f"{_fmt(a.tol)} | {'PASS' if a.passed else 'FAIL'} |"
+            f"{_fmt(a.tol)} | {'PASS' if a.passed else 'FAIL'} | {detail} |"
         )
     out.append("")
     out.append(f"Overall: {'PASS' if report.passed else 'FAIL'}")

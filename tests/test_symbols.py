@@ -10,6 +10,7 @@ from qmlab.quasimodes import plane_wave
 from qmlab.symbols import (
     CIRCLE_SEAM,
     ContactError,
+    GraphFn,
     CostGuardError,
     _circle_jet,
     _circle_sqrt,
@@ -336,3 +337,204 @@ class TestGraphJets:
             np.testing.assert_allclose(g.xi2_derivative(0.2, x2, xi2, order), got,
                                        rtol=1e-13, atol=1e-13)
 
+
+
+# The hand-written jets and xi2-derivatives the catalog had before graphs became
+# term lists, kept as oracles for the term-list fold.
+
+def _oracle_circle():
+    def jet(x1, x2, xi2):
+        c0, c1, c2 = _circle_jet(xi2)
+        return c0, c1, None, None, c2, None
+
+    return jet, lambda x1, x2, xi2, order: _circle_sqrt(xi2, order) if order <= 4 else None
+
+
+def _oracle_parabola(coeff):
+    def jet(x1, x2, xi2):
+        xi2 = np.asarray(xi2)
+        return coeff * xi2 ** 2, 2.0 * coeff * xi2, None, None, 2.0 * coeff, None
+
+    def deriv(x1, x2, xi2, order):
+        if order == 0:
+            return coeff * np.asarray(xi2) ** 2
+        if order == 1:
+            return 2.0 * coeff * np.asarray(xi2)
+        if order == 2:
+            return 2.0 * coeff * np.ones_like(np.asarray(xi2, dtype=float))
+        return np.zeros_like(np.asarray(xi2, dtype=float))
+
+    return jet, deriv
+
+
+def _oracle_flat():
+    return ((lambda x1, x2, xi2: (np.zeros(np.broadcast(x1, x2, xi2).shape),) + (None,) * 5),
+            lambda x1, x2, xi2, order: np.zeros_like(np.asarray(xi2, dtype=float)))
+
+
+def _oracle_monomial(k, c):
+    m = k + 1
+
+    def dpoly(t, order):
+        t = np.asarray(t, dtype=float)
+        if order > m:
+            return np.zeros_like(t)
+        return c * math.factorial(m) / math.factorial(m - order) * t ** (m - order)
+
+    return ((lambda x1, x2, xi2: (dpoly(xi2, 0), dpoly(xi2, 1), None, None, dpoly(xi2, 2), None)),
+            lambda x1, x2, xi2, order: dpoly(xi2, order))
+
+
+def _oracle_shear():
+    def jet(x1, x2, xi2):
+        x2, xi2 = np.asarray(x2), np.asarray(xi2)
+        return x2 * xi2, x2, xi2, 1.0, None, None
+
+    def deriv(x1, x2, xi2, order):
+        x2a, xi2a = np.asarray(x2, dtype=float), np.asarray(xi2, dtype=float)
+        if order == 0:
+            return x2a * xi2a
+        if order == 1:
+            return x2a + 0.0 * xi2a
+        return np.zeros(np.broadcast(x2a, xi2a).shape)
+
+    return jet, deriv
+
+
+def _oracle_tilted_circle(tilt):
+    def jet(x1, x2, xi2):
+        c0, c1, c2 = _circle_jet(xi2)
+        x2, xi2 = np.asarray(x2), np.asarray(xi2)
+        sq, tx2 = xi2 ** 2, 2.0 * tilt * x2
+        return (c0 + tilt * x2 * sq, c1 + tx2 * xi2, tilt * sq, 2.0 * tilt * xi2,
+                c2 + tx2, None)
+
+    def deriv(x1, x2, xi2, order):
+        if order > 4:
+            return None
+        x2a = np.asarray(x2, dtype=float)
+        base = _circle_sqrt(xi2, order)
+        if order == 0:
+            return base + tilt * x2a * np.asarray(xi2) ** 2
+        if order == 1:
+            return base + 2.0 * tilt * x2a * np.asarray(xi2)
+        if order == 2:
+            return base + 2.0 * tilt * x2a
+        return base
+
+    return jet, deriv
+
+
+def _oracle_sum(o1, o2):
+    (jet1, d1), (jet2, d2) = o1, o2
+
+    def jet(x1, x2, xi2):
+        return tuple(p if q is None else q if p is None else p + q
+                     for p, q in zip(jet1(x1, x2, xi2), jet2(x1, x2, xi2)))
+
+    def deriv(x1, x2, xi2, order):
+        a, b = d1(x1, x2, xi2, order), d2(x1, x2, xi2, order)
+        return None if a is None or b is None else a + b
+
+    return jet, deriv
+
+
+def _oracle_perturbed_circle(k, c):
+    """gval / gder of contact_perturbed_circle's graph branch."""
+    m = k + 1
+
+    def gval(t):
+        return _circle_sqrt(t, 0) + c * np.asarray(t) ** m
+
+    def gder(t, r):
+        circ = _circle_sqrt(t, r) if r <= 4 else None
+        if circ is None:
+            return None
+        poly = 0.0 if r > m else c * math.factorial(m) / math.factorial(m - r) * np.asarray(t) ** (m - r)
+        return circ + poly
+
+    return gval, gder
+
+
+def _term_cases(c):
+    return [
+        (graph_circle(), _oracle_circle()),
+        (graph_parabola(c), _oracle_parabola(c)),
+        (graph_flat(), _oracle_flat()),
+        (graph_monomial(1, c), _oracle_monomial(1, c)),
+        (graph_monomial(2, c), _oracle_monomial(2, c)),
+        (graph_shear(), _oracle_shear()),
+        (graph_tilted_circle(c), _oracle_tilted_circle(c)),
+        (graph_sum(graph_tilted_circle(0.1), graph_monomial(1, c)),
+         _oracle_sum(_oracle_tilted_circle(0.1), _oracle_monomial(1, c))),
+        (graph_sum(graph_tilted_circle(0.1), graph_monomial(2, c)),
+         _oracle_sum(_oracle_tilted_circle(0.1), _oracle_monomial(2, c))),
+        (graph_sum(graph_circle(), graph_monomial(2, c)),
+         _oracle_sum(_oracle_circle(), _oracle_monomial(2, c))),
+    ]
+
+
+def _same(got, want, shape, rtol=0.0):
+    """None matches None; arrays are compared on the grid, bitwise unless rtol is set."""
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    got, want = np.broadcast_to(got, shape), np.broadcast_to(want, shape)
+    if rtol:
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+    else:
+        assert np.array_equal(got, want)
+
+
+class TestTermListOracle:
+    # x2 != 0 everywhere; xi2 crosses the circle's seam at +-0.95
+    X2, XI2 = np.meshgrid([-1.3, -0.4, 0.7, 1.1],
+                          [-1.3, -0.97, -0.95, -0.5, 0.0, 0.3, 0.95, 0.97, 1.3], indexing="ij")
+
+    def check(self, g, oracle, rtol=0.0):
+        jet, deriv = oracle
+        shape = self.X2.shape
+        want_jet = jet(0.2, self.X2, self.XI2)
+        for got, want in zip(g.jet(0.2, self.X2, self.XI2), want_jet, strict=True):
+            _same(got, want, shape, rtol)
+        _same(g.value(0.2, self.X2, self.XI2), want_jet[0], shape, rtol)
+        for order in range(6):
+            _same(g.xi2_derivative(0.2, self.X2, self.XI2, order),
+                  deriv(0.2, self.X2, self.XI2, order), shape, rtol)
+
+    @pytest.mark.parametrize("c", [1.0, 0.5])
+    def test_families_and_sums_bitwise(self, c):
+        for g, oracle in _term_cases(c):
+            self.check(g, oracle)
+
+    @pytest.mark.parametrize("c", [0.7, 1.3])
+    def test_non_dyadic_coefficients(self, c):
+        # c*perm(m, r) rounds differently from the old (c*m!)/(m-r)! only at m >= 3
+        for g, oracle in _term_cases(c):
+            self.check(g, oracle, rtol=1e-15)
+        for k in (2, 3, 4):
+            self.check(graph_monomial(k, c), _oracle_monomial(k, c), rtol=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("c", [1.0, 0.5, 0.7, 1.3, 1.7])
+    def test_contact_perturbed_circle_bitwise(self, k, c):
+        gval, gder = _oracle_perturbed_circle(k, c)
+        sym = contact_perturbed_circle(k, c)
+        br = sym.graph()
+        t = self.XI2[0]
+        assert np.array_equal(br(t), gval(t))
+        assert np.array_equal(sym.value(0.0, 0.0, 0.4, t), 0.4 - gval(t))
+        for r in range(1, 6):
+            _same(br.derivative(t, r), gder(t, r), t.shape)
+
+    def test_terms_are_concatenated(self):
+        g = graph_sum(graph_tilted_circle(0.3), graph_monomial(2, 0.5))
+        assert g.terms == ((0, 1.0, None), (1, 0.3, 2), (0, 0.5, 3))
+        assert graph_flat().terms == ()
+        assert g.x_dependent and not graph_sum(graph_circle(), graph_flat()).x_dependent
+
+    def test_graph_sum_refuses_hand_built_graph(self):
+        fake = GraphFn("fake", lambda x1, x2, xi2: (np.asarray(xi2),) + (None,) * 5, False,
+                       lambda x1, x2, xi2, order: None)
+        with pytest.raises(ValueError, match="no term list"):
+            graph_sum(graph_circle(), fake)
