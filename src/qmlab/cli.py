@@ -18,8 +18,8 @@ import numpy as np
 
 from . import estimates, quasimodes, reporting, wavelets
 from .config import ConfigError, parse_config, parse_graph_expr, parse_symbol_expr, run
-from .grid import GridSpec, read_field, write_field
-from .propagator import analytic_phase_table, apply_w, quasimode_pushforward
+from .grid import read_field, write_field
+from .propagator import apply_w, quasimode_pushforward
 
 __all__ = ["main", "shipped_config_names", "load_shipped_config"]
 
@@ -76,15 +76,14 @@ def _cmd_defect(args) -> int:
 def _cmd_propagate(args) -> int:
     fld = read_field(args.infile)
     graph = parse_graph_expr(args.a)
-    table = analytic_phase_table(graph, fld.grid)
     if args.x1 is not None:
-        vals = np.stack([apply_w(table, row, args.x1, fld.grid)
+        vals = np.stack([apply_w(graph, row, args.x1, fld.grid)
                          for row in fld.values])
         out = type(fld)(fld.grid, vals)
     else:
         # indicator-built quasimodes carry polynomial tails; the CLI gate only
         # rejects genuinely delocalized inputs (plane waves etc.)
-        out = quasimode_pushforward(table, fld, localization_tol=0.5)
+        out = quasimode_pushforward(graph, fld, localization_tol=0.5)
     write_field(out, args.out)
     print(f"wrote {args.out}: l2={out.l2_norm():.6f}")
     return 0
@@ -113,11 +112,9 @@ def _cmd_cwt(args) -> int:
 
 def _cmd_kernel(args) -> int:
     part = wavelets.make_partition(args.h, args.k)
-    grid = GridSpec(4.0, 64, args.h)
-    table = analytic_phase_table(parse_graph_expr(args.graph), grid)
     w = wavelets.default_wavelet()
     a = args.h ** float(args.a[2:]) if args.a.startswith("h^") else float(args.a)
-    s = estimates.kernel_sample(table, w, part, args.j, a, args.t)
+    s = estimates.kernel_sample(parse_graph_expr(args.graph), w, part, args.j, a, args.t)
     print("j,a,t,regime,sup_abs")
     print(f"{s.j},{s.a!r},{s.t!r},{s.regime},{s.sup_abs!r}")
     return 0

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import estimates, quasimodes, symbols, wavelets
 from .grid import GridSpec, lp_norm
-from .propagator import analytic_phase_table, conjugated_symbol, integrate_flow, quasimode_pushforward
+from .propagator import conjugated_symbol, integrate_flow, quasimode_pushforward
 from .symbols import contact_order, graph_catalog
 
 __all__ = [
@@ -89,6 +89,16 @@ def parse_symbol_expr(text: str) -> symbols.SymbolSpec:
     if name not in _SYMBOL_FACTORIES:
         raise ValueError(f"unknown symbol {name!r}; have {sorted(_SYMBOL_FACTORIES)}")
     return _SYMBOL_FACTORIES[name](**kwargs)
+
+
+def _closed_form(text: str) -> float:
+    """`-delta(p=8, k=1)`: estimates.delta_p_k in exact rationals (integer or inf p), as a float."""
+    sign, body = (-1, text[1:]) if text.startswith("-") else (1, text)
+    name, kw = _parse_call(body)
+    if name != "delta" or sorted(kw) != ["k", "p"]:
+        raise ValueError(f"unknown closed form {text!r}; have delta(p=..., k=...)")
+    p = kw["p"] if kw["p"] == math.inf else _integer("p", kw["p"])
+    return float(sign * estimates.delta_p_k(p, _integer("k", kw["k"])))
 
 
 def parse_graph_expr(text: str) -> symbols.GraphFn:
@@ -281,6 +291,11 @@ def parse_config(text: str) -> ExperimentConfig:
                     errors.append(f"line {lineno}: unknown assertion kind {value!r}")
                 else:
                     payload.kind = value
+            elif key == "expected" and isinstance(value, str):
+                try:
+                    payload.params[key] = _closed_form(value)
+                except ValueError as exc:
+                    errors.append(f"line {lineno}: {exc}")
             else:
                 payload.params[key] = value
 
@@ -372,9 +387,7 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
                 sigma2_factor=float(p.get("sigma2_factor", 0.5)),
             )
         elif stage.kind == "propagate":
-            graph = parse_graph_expr(str(p.get("graph", "circle")))
-            table = analytic_phase_table(graph, fld.grid)
-            fld = quasimode_pushforward(table, fld)
+            fld = quasimode_pushforward(parse_graph_expr(str(p.get("graph", "circle"))), fld)
         elif stage.kind == "norms":
             for pv in _as_list(p.get("p", [2.0])):
                 pv = float(pv)
@@ -421,8 +434,6 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
             k = int(p.get("k", 1))
             graph = parse_graph_expr(str(p.get("graph", "parabola")))
             part = wavelets.make_partition(h, k)
-            grid = GridSpec(4.0, 64, h)
-            table = analytic_phase_table(graph, grid)
             j_list = [int(j) for j in _as_list(p.get("j_list", [0, 2, 4]))]
             a_list = []
             for tok in _as_list(p.get("a_list", ["h^0.3", 0.5])):
@@ -430,7 +441,7 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
                     a_list.append(h ** float(tok[2:]))
                 else:
                     a_list.append(float(tok))
-            samples = estimates.default_kernel_samples(table, w, part, j_list, a_list)
+            samples = estimates.default_kernel_samples(graph, w, part, j_list, a_list)
             for s in samples:
                 rows[(f"kernel_sup(a={s.a:.6g},t={s.t:.6g},{s.regime})",
                       None, k, s.j, None)] = s.sup_abs

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .symbols import GraphFn
 from .wavelets import DyadicPartition, WaveletSpec
 
 __all__ = [
@@ -238,10 +239,9 @@ def _window_autocorrelation(w: WaveletSpec, tau: float, n: int = 1 << 12) -> flo
     return float(np.trapezoid(fu * shifted, u))
 
 
-def _phi_difference(table, t: float, delta: float, xi: np.ndarray) -> np.ndarray:
-    """phi(t/2, delta/2, xi) - phi(-t/2, -delta/2, xi)."""
-    return (np.asarray(table.phi_at(t / 2.0, delta / 2.0, xi))
-            - np.asarray(table.phi_at(-t / 2.0, -delta / 2.0, xi)))
+def _phi_difference(graph: GraphFn, t: float, delta: float, xi: np.ndarray) -> np.ndarray:
+    """phi(t/2, delta/2, xi) - phi(-t/2, -delta/2, xi) for phi = y xi - x1 a(xi)."""
+    return delta * xi - t * np.asarray(graph.value(0.0, 0.0, xi), dtype=float)
 
 
 def _band_intervals(part: DyadicPartition, j: int) -> list[tuple[float, float]]:
@@ -253,7 +253,7 @@ def _band_intervals(part: DyadicPartition, j: int) -> list[tuple[float, float]]:
     return [(-hi, -lo), (lo, hi)]
 
 
-def kernel_sample(table, w: WaveletSpec, part: DyadicPartition, j: int, a: float,
+def kernel_sample(graph: GraphFn, w: WaveletSpec, part: DyadicPartition, j: int, a: float,
                   t: float, n_offsets: int = 33, oversample: int = 8,
                   max_quad_points: int = 4_000_000) -> KernelSample:
     """Evaluate sup over (x2, z2) of |K_j| at window scale a and separation t.
@@ -262,8 +262,10 @@ def kernel_sample(table, w: WaveletSpec, part: DyadicPartition, j: int, a: float
     a * corr(t/a); the frequency integral runs over the band of the j-th
     cutoff with at least ``oversample`` quadrature points per h-period of the
     phase difference, and the transverse offsets track the stationary point
-    t * a'(xi) through the band.
+    t * a'(xi) through the band.  The generator must be x-independent.
     """
+    if graph.x_dependent:
+        raise ValueError(f"graph {graph.name!r} depends on x; kernel samples need a(xi) alone")
     h, k = part.h, part.k
     regime = "small_sep" if t <= _regime_threshold(j, h, k) else "large_sep"
     if t < 0:
@@ -274,7 +276,7 @@ def kernel_sample(table, w: WaveletSpec, part: DyadicPartition, j: int, a: float
     intervals = _band_intervals(part, j)
     # transverse offsets bracketing the stationary point delta = t a'(xi)
     probe = np.concatenate([np.linspace(lo, hi, 65) for lo, hi in intervals])
-    a_xi = table.graph.jet(0.0, 0.0, probe)[1]  # None: structurally zero
+    a_xi = graph.jet(0.0, 0.0, probe)[1]  # None: structurally zero
     dphi = np.broadcast_to(np.asarray(0.0 if a_xi is None else a_xi, dtype=float), probe.shape)
     deltas = np.unique(np.concatenate([[0.0], t * dphi,
                                        np.linspace(t * dphi.min(), t * dphi.max(),
@@ -285,7 +287,7 @@ def kernel_sample(table, w: WaveletSpec, part: DyadicPartition, j: int, a: float
         xi_probe = np.linspace(lo, hi, 129)
         slope_max = 0.0
         for d in (deltas.min(), deltas.max(), 0.0):
-            diff = _phi_difference(table, t, d, xi_probe)
+            diff = _phi_difference(graph, t, d, xi_probe)
             slope_max = max(slope_max, float(np.max(np.abs(np.gradient(diff, xi_probe)))))
         n_q = int(math.ceil(oversample * max(slope_max, 1e-12) * width / (2 * np.pi * h))) + 64
         if n_q > max_quad_points:
@@ -296,13 +298,13 @@ def kernel_sample(table, w: WaveletSpec, part: DyadicPartition, j: int, a: float
         dxi = xi_q[1] - xi_q[0]
         chi2 = np.asarray(part.band_multiplier(xi_q, j), dtype=float) ** 2
         for i, d in enumerate(deltas):
-            phase = _phi_difference(table, t, d, xi_q)
+            phase = _phi_difference(graph, t, d, xi_q)
             total[i] += np.sum(np.exp(1j * phase / h) * chi2) * dxi
     sup = float(np.max(np.abs(total))) * abs(corr) / (2.0 * np.pi * h)
     return KernelSample(j, a, t, sup, regime, h, k)
 
 
-def default_kernel_samples(table, w: WaveletSpec, part: DyadicPartition,
+def default_kernel_samples(graph: GraphFn, w: WaveletSpec, part: DyadicPartition,
                            j_list=(0, 2, 4), a_list=(0.5,)) -> list[KernelSample]:
     """Sample set spanning both regimes with stable window-overlap factors.
 
@@ -318,10 +320,10 @@ def default_kernel_samples(table, w: WaveletSpec, part: DyadicPartition,
         for a in a_list:
             t_smalls = {0.0, min(0.1 * a, 0.5 * thr)}
             for t in sorted(t_smalls):
-                samples.append(kernel_sample(table, w, part, j, a, t))
+                samples.append(kernel_sample(graph, w, part, j, a, t))
             t_large = 0.6 * a
             if t_large > thr:
-                samples.append(kernel_sample(table, w, part, j, a, t_large))
+                samples.append(kernel_sample(graph, w, part, j, a, t_large))
     return samples
 
 

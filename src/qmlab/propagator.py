@@ -12,19 +12,19 @@ with the phase solving the eikonal problem
 
 and b = 1 at leading order (optionally corrected by the half-density
 Jacobian factor).  For x-independent generators phi = y2 xi2 - x1 a(xi2)
-exactly and W reduces to the unitary multiplier e^{-i x1 a(xi2)/h}; the
-oscillatory-quadrature path reproduces that multiplier to rounding, which is
-regression-tested.  The adjoint W* is the exact discrete adjoint, so
-<W g, u> = <g, W* u> holds at quadrature level.
+exactly, and W is the unitary multiplier e^{-i x1 a(xi2)/h} that ``apply_w``,
+``apply_w_star`` and ``quasimode_pushforward`` apply when handed the
+generator itself.  On a ``PhaseTable`` W is the oscillatory quadrature, which
+reproduces that multiplier to rounding (regression-tested), and W* is its
+exact discrete adjoint, so <W g, u> = <g, W* u> holds at quadrature level.
 
-Phases for x-dependent generators are tabulated by the method of
-characteristics: Hamiltonian trajectories (RK4, fixed step, with the 2x2
-variational system for the Jacobian) carry the action, and each saved x1
-slice is interpolated back to the rectangular (y2, xi2) grid by a cubic
-spline in the launch point.  The march carries seven flat arrays (y, xi, the
-four Jacobian entries, the action) and reads the generator's jet once per
-stage.  Caustics (|dy/dy0| < 0.1) shorten the usable horizon rather than
-being crossed.
+A ``PhaseTable`` is tabulated by the method of characteristics: Hamiltonian
+trajectories (RK4, fixed step, with the 2x2 variational system for the
+Jacobian) carry the action, and each saved x1 slice is interpolated back to
+the rectangular (y2, xi2) grid by a cubic spline in the launch point.  The
+march carries seven flat arrays (y, xi, the four Jacobian entries, the
+action) and reads the generator's jet once per stage.  Caustics
+(|dy/dy0| < 0.1) shorten the usable horizon rather than being crossed.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "CausticError",
     "integrate_flow",
     "build_phase",
-    "analytic_phase_table",
     "eikonal_residual",
     "apply_w",
     "apply_w_star",
@@ -203,11 +202,10 @@ def integrate_flow(a_graph: GraphFn, y_init: np.ndarray, xi_init: np.ndarray,
 
 @dataclass(frozen=True)
 class PhaseTable:
-    """Eikonal phase phi(x1, y, xi) and leading amplitude on a slice grid.
+    """Eikonal phase phi(x1, y, xi) and leading amplitude tabulated along characteristics.
 
-    Analytic tables (x-independent generators) evaluate the closed form
-    phi = y xi - x1 a(xi) at any x1; tabulated ones carry interpolated slices
-    at the saved x1 values up to the caustic-safe horizon.
+    Slices sit at the saved x1 values of a flow, up to the caustic-safe
+    horizon x1_max; a flow starts at x1 = 0, so there are none at x1 < 0.
     """
 
     graph: GraphFn
@@ -215,8 +213,7 @@ class PhaseTable:
     y_grid: np.ndarray
     xi_grid: np.ndarray
     x1_values: np.ndarray
-    analytic: bool
-    phi: np.ndarray | None = None   # (n_x1, ny, nxi) when not analytic
+    phi: np.ndarray                 # (n_x1, ny, nxi)
     amp: np.ndarray | None = None   # half-density correction, None means b = 1
     x1_max: float = math.inf
     caustic_limited: bool = False
@@ -229,41 +226,14 @@ class PhaseTable:
                 f"x1 = {x1} is not a stored slice (have {np.round(self.x1_values, 6)})")
         return i
 
-    def phi_at(self, x1: float, y, xi):
-        """Phase values of an analytic table at any x1, broadcasting y against xi."""
-        if not self.analytic:
-            raise ValueError("phi_at needs an analytic phase table (x-independent generator); "
-                             "a tabulated table holds only its stored slices, none at x1 < 0")
-        self._check_horizon(x1)
-        y = np.asarray(y, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return y * xi - x1 * np.asarray(self.graph.value(x1, 0.0, xi), dtype=float)
-
-    def _check_horizon(self, x1: float) -> None:
+    def slice_arrays(self, x1: float):
+        """(phi, amp) on the full (y, xi) grid at one stored slice."""
         if abs(x1) > self.x1_max + 1e-12:
             raise CausticError(
                 f"x1 = {x1} beyond the caustic-free horizon {self.x1_max:.4g}")
-
-    def slice_arrays(self, x1: float):
-        """(phi, amp) on the full (y, xi) grid at one stored slice."""
-        self._check_horizon(x1)
-        if self.analytic:
-            a_vals = np.asarray(self.graph.value(x1, 0.0, self.xi_grid), dtype=float)
-            phi = self.y_grid[:, None] * self.xi_grid[None, :] - x1 * a_vals[None, :]
-            return phi, np.ones_like(phi)
         i = self.slice_index(x1)
         amp = np.ones_like(self.phi[i]) if self.amp is None else self.amp[i]
         return self.phi[i], amp
-
-
-def analytic_phase_table(a_graph: GraphFn, grid: GridSpec) -> PhaseTable:
-    """Closed-form table for x-independent generators (no caustics)."""
-    if a_graph.x_dependent:
-        raise ValueError("analytic phase tables need an x-independent generator")
-    return PhaseTable(
-        graph=a_graph, h=grid.h, y_grid=grid.x_coords, xi_grid=grid.xi_coords,
-        x1_values=np.array([0.0]), analytic=True,
-    )
 
 
 def build_phase(flow: HamiltonianFlow, grid: GridSpec,
@@ -278,12 +248,6 @@ def build_phase(flow: HamiltonianFlow, grid: GridSpec,
     crossed).  b = 1 unless the half-density correction |dy/dy0|^{-1/2} is
     requested.
     """
-    if not flow.graph.x_dependent:
-        table = analytic_phase_table(flow.graph, grid)
-        if not np.array_equal(flow.xi_init, grid.xi_coords):
-            warnings.warn("flow xi grid differs from the lattice; analytic table "
-                          "uses the closed form anyway", stacklevel=2)
-        return table
     y_grid = flow.y_init if y_out is None else np.asarray(y_out, dtype=float)
     xi_grid = flow.xi_init
     launch = flow.y_init
@@ -321,7 +285,7 @@ def build_phase(flow: HamiltonianFlow, grid: GridSpec,
             amp[0] = 1.0
     return PhaseTable(
         graph=flow.graph, h=grid.h, y_grid=y_grid, xi_grid=xi_grid,
-        x1_values=flow.x1_values[:usable], analytic=False,
+        x1_values=flow.x1_values[:usable],
         phi=phi[:usable], amp=None if amp is None else amp[:usable],
         x1_max=float(horizon), caustic_limited=caustic_limited,
         coverage_gaps=gaps,
@@ -331,9 +295,7 @@ def build_phase(flow: HamiltonianFlow, grid: GridSpec,
 def eikonal_residual(table: PhaseTable, x1_index: int | None = None) -> float:
     """Max interior residual |d_{x1} phi + a(x1, y, d_y phi)| by centered FD.
 
-    Needs at least three uniformly spaced stored slices (analytic tables are
-    sampled on the stored x1 values the same way, which makes the FD
-    truncation error visible for convergence tests).
+    Needs at least three uniformly spaced stored slices.
     """
     t = table.x1_values
     if len(t) < 3:
@@ -369,46 +331,43 @@ def _w_matrix(table: PhaseTable, x1: float, grid: GridSpec) -> np.ndarray:
     return np.exp(1j * phi / grid.h) * amp
 
 
-def apply_w(table: PhaseTable, g: np.ndarray, x1: float, grid: GridSpec,
-            path: str = "auto") -> np.ndarray:
+def _multiplier(graph: GraphFn, x1, grid: GridSpec) -> np.ndarray:
+    """W(x1) = e^{-i x1 a(xi)/h} of an x-independent generator; x1 may be a column of rows."""
+    if graph.x_dependent:
+        raise ValueError(f"graph {graph.name!r} depends on x, so W(x1) is no multiplier; "
+                         "pass the PhaseTable of its flow")
+    a_vals = np.asarray(graph.value(0.0, 0.0, grid.xi_coords), dtype=float)
+    return np.exp(-1j * x1 * a_vals / grid.h)
+
+
+def apply_w(generator: GraphFn | PhaseTable, g: np.ndarray, x1: float,
+            grid: GridSpec) -> np.ndarray:
     """W(x1) applied to a 1-D field on the x2 lattice.
 
-    path="multiplier" uses e^{-i x1 a(xi)/h} (x-independent generators only);
-    "quadrature" evaluates the oscillatory kernel; "auto" picks the
-    multiplier when available.  At x1 = 0 both paths are the identity.
+    An x-independent GraphFn gives the exact multiplier e^{-i x1 a(xi)/h}
+    at any x1; a PhaseTable evaluates the oscillatory kernel at its stored
+    slice x1.  At x1 = 0 both are the identity.
     """
     g = np.asarray(g, dtype=np.complex128)
     if g.shape != (grid.points_per_axis,):
         raise ValueError("apply_w expects a 1-D field on the grid")
-    table._check_horizon(x1)
-    if path == "auto":
-        path = "multiplier" if table.analytic else "quadrature"
     ghat = sfft1d(g, grid)
-    if path == "multiplier":
-        if not table.analytic:
-            raise ValueError("multiplier path requires an x-independent generator")
-        a_vals = np.asarray(table.graph.value(x1, 0.0, grid.xi_coords), dtype=float)
-        return isfft1d(np.exp(-1j * x1 * a_vals / grid.h) * ghat, grid)
-    kernel = _w_matrix(table, x1, grid)  # (n_y=x2_out, n_xi)
+    if isinstance(generator, GraphFn):
+        return isfft1d(_multiplier(generator, x1, grid) * ghat, grid)
+    kernel = _w_matrix(generator, x1, grid)  # (n_y=x2_out, n_xi)
     coef = grid.dxi / math.sqrt(2.0 * math.pi * grid.h)
     return coef * (kernel @ ghat)
 
 
-def apply_w_star(table: PhaseTable, g: np.ndarray, x1: float, grid: GridSpec,
-                 path: str = "auto") -> np.ndarray:
-    """Exact discrete adjoint of :func:`apply_w` at the same slice."""
+def apply_w_star(generator: GraphFn | PhaseTable, g: np.ndarray, x1: float,
+                 grid: GridSpec) -> np.ndarray:
+    """Exact discrete adjoint of :func:`apply_w` with the same generator and x1."""
     g = np.asarray(g, dtype=np.complex128)
     if g.shape != (grid.points_per_axis,):
         raise ValueError("apply_w_star expects a 1-D field on the grid")
-    table._check_horizon(x1)
-    if path == "auto":
-        path = "multiplier" if table.analytic else "quadrature"
-    if path == "multiplier":
-        if not table.analytic:
-            raise ValueError("multiplier path requires an x-independent generator")
-        a_vals = np.asarray(table.graph.value(x1, 0.0, grid.xi_coords), dtype=float)
-        return isfft1d(np.exp(1j * x1 * a_vals / grid.h) * sfft1d(g, grid), grid)
-    kernel = _w_matrix(table, x1, grid)
+    if isinstance(generator, GraphFn):
+        return isfft1d(_multiplier(generator, -x1, grid) * sfft1d(g, grid), grid)
+    kernel = _w_matrix(generator, x1, grid)
     coef = grid.dx / math.sqrt(2.0 * math.pi * grid.h)
     ghat = coef * (kernel.conj().T @ g)
     return isfft1d(ghat, grid)
@@ -439,12 +398,7 @@ def _pullback_graph_symbol(fn, label: str) -> SymbolSpec:
         return GraphBranch(lambda t: fn(x2f, np.asarray(t, dtype=float)), None,
                            label=label)
 
-    return custom_symbol(
-        value, label=label, x_dependent=True,
-        xi1_partial=lambda x1v, x2v, xi1v, xi2v: np.ones(
-            np.broadcast(np.asarray(xi1v), np.asarray(xi2v)).shape),
-        graph=graph,
-    )
+    return custom_symbol(value, label=label, x_dependent=True, graph=graph)
 
 
 def conjugated_symbol(a_graph: GraphFn, q_graph: GraphFn, flow: HamiltonianFlow,
@@ -475,21 +429,19 @@ def conjugated_symbol(a_graph: GraphFn, q_graph: GraphFn, flow: HamiltonianFlow,
                  for g in (a_graph, q_graph))
 
 
-def quasimode_pushforward(table: PhaseTable, u: Field2D,
+def quasimode_pushforward(graph: GraphFn, u: Field2D,
                           localization_tol: float = 1e-6,
                           localization_radius: float | None = None) -> Field2D:
     """v(x1, .) = W(x1) u(x1, .) for every grid row x1.
 
-    Requires an O(1)-localized input (checked) and an analytic table
-    (x-independent generator), whose multiplier form is exact for every row;
-    a tabulated table has no slices at the negative rows x1 < 0.
+    Requires an O(1)-localized input (checked) and an x-independent
+    generator, whose multiplier is exact for every row; a tabulated phase
+    has no slices at the negative rows x1 < 0.
     """
     from .quasimodes import localization_check
 
-    if not table.analytic:
-        raise ValueError("quasimode_pushforward needs an analytic phase table (x-independent "
-                         "generator); a tabulated table has no slices at x1 < 0")
     g = u.grid
+    phases = _multiplier(graph, g.x_coords[:, None], g)
     if u.l2_norm() == 0.0:
         return Field2D(g, np.zeros_like(u.values))
     radius = localization_radius if localization_radius is not None else g.half_width / 2.0
@@ -498,7 +450,5 @@ def quasimode_pushforward(table: PhaseTable, u: Field2D,
         raise ValueError(
             f"input is not localized: {frac:.3e} of its mass lies outside "
             f"radius {radius:g} (tolerance {localization_tol:g})")
-    a_vals = np.asarray(table.graph.value(0.0, 0.0, g.xi_coords), dtype=float)
     uhat_rows = sfft1d(u.values, g, axis=1)
-    phases = np.exp(-1j * g.x_coords[:, None] * a_vals[None, :] / g.h)
     return Field2D(g, isfft1d(phases * uhat_rows, g, axis=1))

@@ -35,7 +35,7 @@ from .grid import (
     semiclassical_ifft,
     smoothstep,
 )
-from .symbols import GraphFn, SymbolSpec, apply_left_quantization
+from .symbols import GraphFn, SymbolSpec, apply_left_quantization, graph_flat
 
 __all__ = [
     "TAlphaSpec",
@@ -255,20 +255,16 @@ def build_flat_quasimode(grid: GridSpec, k: int, sigma1_factor: float = 3.0,
                          sigma2_factor: float = 0.5) -> Field2D:
     """Gaussian-spectrum strong joint quasimode of hD_x1 and h^(k+1) D_x2^(k+1).
 
-    The spectrum is exp(-xi1^2/(2 s1^2) - xi2^2/(2 s2^2)) with s1 = 3h and
-    s2 = h^(1/(k+1))/2, so both defects are O(h) with O(1) constants and the
-    field is O(1)-localized in x with Gaussian tails.  The x1 width 3h puts
-    the unit-scale window response at its peak, which keeps the per-scale
+    The graph-adapted quasimode of the flat graph a = 0: the spectrum is
+    exp(-xi1^2/(2 s1^2) - xi2^2/(2 s2^2)) with s1 = 3h and s2 = h^(1/(k+1))/2,
+    so both defects are O(h) with O(1) constants and the field is
+    O(1)-localized in x with Gaussian tails.  The x1 width 3h puts the
+    unit-scale window response at its peak, which keeps the per-scale
     coefficient norms within a single constant of the a^{3/2} model across
     the whole scale range.
     """
-    h = grid.h
-    s1 = sigma1_factor * h
-    s2 = sigma2_factor * h ** (1.0 / (k + 1))
-    xi1, xi2 = grid.xi_mesh()
-    vals = np.exp(-(xi1 ** 2) / (2 * s1 ** 2) - (xi2 ** 2) / (2 * s2 ** 2))
-    u = semiclassical_ifft(SpectralField2D(grid, vals.astype(np.complex128)))
-    return u.normalized()
+    return build_graph_adapted_quasimode(grid, graph_flat(), k, sigma1_factor=sigma1_factor,
+                                         sigma2_factor=sigma2_factor)
 
 
 def build_graph_adapted_quasimode(grid: GridSpec, graph_fn: GraphFn, k: int,

@@ -297,9 +297,10 @@ class GraphBranch:
 class NewtonBranch(GraphBranch):
     """Numeric branch solved by Newton iteration with residual <= tol."""
 
-    def __init__(self, sym: "SymbolSpec", x=(0.0, 0.0), xi1_start: float = 0.0,
-                 tol: float = 1e-12, max_iter: int = 80):
+    def __init__(self, sym: "SymbolSpec", d_xi1: Callable, x=(0.0, 0.0),
+                 xi1_start: float = 0.0, tol: float = 1e-12, max_iter: int = 80):
         self.sym = sym
+        self.d_xi1 = d_xi1  # d p / d xi1, same arguments as sym.value
         self.x = x
         self.xi1_start = xi1_start
         self.tol = tol
@@ -318,7 +319,7 @@ class NewtonBranch(GraphBranch):
             todo = ~(np.abs(r) <= self.tol)
             if not todo.any():
                 break
-            dp = real(self.sym.xi1_partial)[todo]
+            dp = real(self.d_xi1)[todo]
             if np.any(np.abs(dp) < 1e-14):
                 raise ValueError("Newton branch: vanishing d p / d xi1 (no graph here)")
             xi1[todo] -= r[todo] / dp
@@ -331,7 +332,7 @@ class NewtonBranch(GraphBranch):
 class SymbolSpec:
     """Named, parameterized symbol with evaluators.
 
-    value / xi1_partial take broadcastable (x1, x2, xi1, xi2).
+    value takes broadcastable (x1, x2, xi1, xi2).
     ``graph`` returns the branch of {p = 0} through a requested point.
     """
 
@@ -340,7 +341,6 @@ class SymbolSpec:
     params: dict = field(default_factory=dict)
     x_dependent: bool = False
     value: Callable = None
-    xi1_partial: Callable = None
     _graph: Callable = None  # (x, xi0) -> GraphBranch
 
     def graph(self, x=(0.0, 0.0), xi0=None) -> GraphBranch:
@@ -369,7 +369,6 @@ def circle_minus_one() -> SymbolSpec:
         label="circle_minus_one",
         x_dependent=False,
         value=lambda x1, x2, xi1, xi2: np.asarray(xi1) ** 2 + np.asarray(xi2) ** 2 - 1.0,
-        xi1_partial=lambda x1, x2, xi1, xi2: 2.0 * np.asarray(xi1) + 0.0 * np.asarray(xi2),
         _graph=graph,
     )
 
@@ -398,7 +397,6 @@ def graph_symbol(graph_fn: GraphFn) -> SymbolSpec:
         params={"graph": graph_fn.name},
         x_dependent=graph_fn.x_dependent,
         value=lambda x1, x2, xi1, xi2: np.asarray(xi1) - graph_fn.value(x1, x2, xi2),
-        xi1_partial=lambda x1, x2, xi1, xi2: np.ones(np.broadcast(xi1, xi2).shape),
         _graph=lambda x, xi0: GraphBranch(
             lambda t: graph_fn.value(x[0], x[1], t),
             lambda t, r: graph_fn.xi2_derivative(x[0], x[1], t, r),
@@ -413,7 +411,7 @@ def custom_symbol(value, label="custom", x_dependent=False, xi1_partial=None,
 
     def default_graph(x, xi0):
         start = 0.0 if xi0 is None else float(xi0[0])
-        return NewtonBranch(spec, x=x, xi1_start=start)
+        return NewtonBranch(spec, xi1_partial or fd_xi1, x=x, xi1_start=start)
 
     def fd_xi1(x1, x2, xi1, xi2, eta=1e-6):
         return (np.asarray(value(x1, x2, xi1 + eta, xi2)) - np.asarray(value(x1, x2, xi1 - eta, xi2))) / (2 * eta)
@@ -423,7 +421,6 @@ def custom_symbol(value, label="custom", x_dependent=False, xi1_partial=None,
         label=label,
         x_dependent=x_dependent,
         value=value,
-        xi1_partial=xi1_partial or fd_xi1,
         _graph=graph or default_graph,
     )
     return spec

@@ -26,7 +26,6 @@ from qmlab.cli import load_shipped_config, shipped_config_names
 from qmlab.config import parse_config, run as run_config
 from qmlab.grid import Field2D, GridSpec, lp_norm, random_field, semiclassical_fft
 from qmlab.propagator import (
-    analytic_phase_table,
     apply_w,
     apply_w_star,
     build_phase,
@@ -195,9 +194,8 @@ class TestCriterion6:
         samples = []
         for h in (2.0 ** -6, 2.0 ** -8):
             part = wavelets.make_partition(h, 1)
-            table = analytic_phase_table(graph_parabola(1.0), GridSpec(4.0, 64, h))
             samples += estimates.default_kernel_samples(
-                table, W, part, j_list=(0, 2, 4), a_list=(h ** 0.3, 0.5))
+                graph_parabola(1.0), W, part, j_list=(0, 2, 4), a_list=(h ** 0.3, 0.5))
         rep = estimates.kernel_bound_check(samples)
         detail = ", ".join(
             f"{r}: C={rep.constants[r]:.3f} in [{rep.min_ratio[r]:.3f}, {rep.max_ratio[r]:.3f}]"

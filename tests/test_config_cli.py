@@ -142,6 +142,32 @@ symbol = circle_minus_one
         assert values == [int(float(v)) for v in good.split()]
         assert all(type(v) is int for v in values)
 
+    @pytest.mark.parametrize("expr, decimal", [
+        ("-delta(p=6, k=1)", -0.16666666666666666),
+        ("-delta(p=8, k=1)", -0.1875),
+        ("-delta(p=inf, k=1)", -0.25),
+        ("-delta(p=8, k=2)", -0.20833333333333334),
+        ("-delta(p=inf, k=2)", -0.3333333333333333),
+    ])
+    def test_expected_from_closed_form(self, expr, decimal):
+        # each closed form against the decimal the thm1 configs carried before
+        text = MINIMAL + f"\n[assert s]\nkind = slope\nquantity = lp_norm\nexpected = {expr}\n"
+        assert parse_config(text).assertions[0].params["expected"] == decimal
+
+    @pytest.mark.parametrize("expr, message", [
+        ("-sogge(p=8)", r"unknown closed form '-sogge\(p=8\)'"),
+        ("fast", "unknown closed form 'fast'"),
+        ("-delta(p=8)", r"unknown closed form '-delta\(p=8\)'"),
+        ("-delta(p=7.5, k=1)", "p must be an integer, got 7.5"),
+        ("-delta(p=1, k=1)", "p must be >= 2"),
+        ("-delta(p=8, k=0)", "k must be >= 1"),
+        ("-delta(p=8, k=one)", "could not convert"),
+    ])
+    def test_bad_closed_form_refused(self, expr, message):
+        text = MINIMAL + f"\n[assert s]\nkind = slope\nquantity = lp_norm\nexpected = {expr}\n"
+        with pytest.raises(ConfigError, match=f"line 15: {message}"):
+            parse_config(text)
+
     def test_duplicate_keys_refused(self):
         # the last value used to win silently
         with pytest.raises(ConfigError, match=r"duplicate key 'h_list' in \[experiment\]"):

@@ -6,9 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmlab.grid import GridSpec
-from qmlab.propagator import analytic_phase_table
-from qmlab.symbols import graph_parabola
+from qmlab.symbols import graph_parabola, graph_shear
 from qmlab.wavelets import default_wavelet, make_partition
 from qmlab.estimates import (
     ExponentQuery,
@@ -145,18 +143,21 @@ class TestKernel:
     def setup_method(self):
         self.h = 2.0 ** -6
         self.part = make_partition(self.h, 1)
-        self.grid = GridSpec(4.0, 64, self.h)
-        self.table = analytic_phase_table(graph_parabola(1.0), self.grid)
+        self.graph = graph_parabola(1.0)
+
+    def test_x_dependent_graph_refused(self):
+        with pytest.raises(ValueError, match="graph 'shear' depends on x"):
+            kernel_sample(graph_shear(), W, self.part, 1, 0.3, 0.1)
 
     def test_disjoint_windows_zero(self):
-        s = kernel_sample(self.table, W, self.part, 1, 0.3, 0.7)
+        s = kernel_sample(self.graph, W, self.part, 1, 0.3, 0.7)
         assert s.sup_abs == 0.0
 
     def test_regime_classification(self):
         thr = 2.0 ** -4 * self.h ** 0.0  # k=1, j=2
-        s = kernel_sample(self.table, W, self.part, 2, 0.5, thr / 2)
+        s = kernel_sample(self.graph, W, self.part, 2, 0.5, thr / 2)
         assert s.regime == "small_sep"
-        s = kernel_sample(self.table, W, self.part, 2, 0.5, 2 * thr)
+        s = kernel_sample(self.graph, W, self.part, 2, 0.5, 2 * thr)
         assert s.regime == "large_sep"
         with pytest.raises(ValueError):
             KernelSample(2, 0.5, 2 * thr, 1.0, "small_sep", self.h, 1)
@@ -164,7 +165,7 @@ class TestKernel:
     def test_non_oscillatory_bound_at_zero_separation(self):
         # |K_0(0)| <= (2 pi h)^{-1} a F(0) * band measure, by integrand modulus
         a = 0.4
-        s = kernel_sample(self.table, W, self.part, 0, a, 0.0)
+        s = kernel_sample(self.graph, W, self.part, 0, a, 0.0)
         f0 = _window_autocorrelation(W, 0.0)
         band = self.part.scale
         xi = np.linspace(-1.25 * band, 1.25 * band, 4001)
@@ -181,9 +182,9 @@ class TestKernel:
             for frac in (0.6, 0.75):
                 t = frac * a
                 if t > 2.0 ** -4:
-                    samples.append(kernel_sample(self.table, W, self.part, 2, a, t))
+                    samples.append(kernel_sample(self.graph, W, self.part, 2, a, t))
         for a in (0.3, 0.4, 0.5):
-            samples.append(kernel_sample(self.table, W, self.part, 4, a, 0.6 * a))
+            samples.append(kernel_sample(self.graph, W, self.part, 4, a, 0.6 * a))
         assert len(samples) >= 9
         ratios = [s.sup_abs / (s.a * s.h ** -0.5 * s.t ** -0.5) for s in samples]
         c_ref = ratios[0]
@@ -202,14 +203,14 @@ class TestKernel:
         assert rep.constants["large_sep"] == pytest.approx(1.0)
 
     def test_adversarial_sample_fails(self):
-        samples = default_kernel_samples(self.table, W, self.part,
+        samples = default_kernel_samples(self.graph, W, self.part,
                                          j_list=(0, 2), a_list=(0.5,))
         bad_bound = _regime_bound(KernelSample(2, 0.5, 0.01, 1.0, "small_sep", self.h, 1))
         samples.append(KernelSample(2, 0.5, 0.01, 10.0 * bad_bound, "small_sep", self.h, 1))
         assert not kernel_bound_check(samples).passed
 
     def test_missing_regime_inconclusive(self):
-        samples = [kernel_sample(self.table, W, self.part, 0, 0.4, 0.0)]
+        samples = [kernel_sample(self.graph, W, self.part, 0, 0.4, 0.0)]
         rep = kernel_bound_check(samples)
         assert rep.inconclusive and not rep.passed
 
@@ -217,8 +218,7 @@ class TestKernel:
         samples = []
         for h in (2.0 ** -6, 2.0 ** -8):
             part = make_partition(h, 1)
-            table = analytic_phase_table(graph_parabola(1.0), GridSpec(4.0, 64, h))
-            samples += default_kernel_samples(table, W, part,
+            samples += default_kernel_samples(graph_parabola(1.0), W, part,
                                               j_list=(0, 2, 4), a_list=(h ** 0.3, 0.5))
         regimes = {s.regime for s in samples}
         assert regimes == {"small_sep", "large_sep"}

@@ -10,7 +10,7 @@ from qmlab.grid import Field2D, GridSpec
 from qmlab.propagator import (
     CausticError,
     HamiltonianFlow,
-    analytic_phase_table,
+    PhaseTable,
     apply_w,
     apply_w_star,
     build_phase,
@@ -38,6 +38,16 @@ from qmlab.symbols import (
 
 def mesh(y, xi):
     return np.meshgrid(y, xi, indexing="ij")
+
+
+def closed_form_table(graph, grid, x1_values):
+    """Phase table of an x-independent generator from phi = y xi - x1 a(xi)."""
+    a_vals = np.asarray(graph.value(0.0, 0.0, grid.xi_coords), dtype=float)
+    x1_values = np.asarray(x1_values, dtype=float)
+    phi = np.stack([grid.x_coords[:, None] * grid.xi_coords[None, :] - x1 * a_vals[None, :]
+                    for x1 in x1_values])
+    return PhaseTable(graph=graph, h=grid.h, y_grid=grid.x_coords, xi_grid=grid.xi_coords,
+                      x1_values=x1_values, phi=phi)
 
 
 class TestFlow:
@@ -208,10 +218,13 @@ class TestFlowOracle:
 
 class TestPhase:
     def test_constant_coefficient_closed_form(self):
+        # an x-independent generator is tabulated along its straight characteristics;
+        # the output y stay inside the fan, where the spline interpolates
         g = GridSpec(8.0, 128, 0.1)
-        tab = analytic_phase_table(graph_circle(), g)
-        phi, amp = tab.slice_arrays(0.7)
-        Y, XI = mesh(g.x_coords, g.xi_coords)
+        y, xi = np.linspace(-6.0, 6.0, 97), np.linspace(-0.8, 0.8, 33)
+        fl = integrate_flow(graph_circle(), g.x_coords, xi, 0.7, dt=1e-3, save_at=[0.7])
+        phi, amp = build_phase(fl, g, y_out=y).slice_arrays(0.7)
+        Y, XI = mesh(y, xi)
         from qmlab.symbols import _circle_sqrt
 
         np.testing.assert_allclose(phi, Y * XI - 0.7 * _circle_sqrt(XI, 0), atol=1e-12)
@@ -220,8 +233,7 @@ class TestPhase:
     def test_quadratic_phase_residual(self):
         # a = xi^2/2: phi = y xi - x1 xi^2/2; FD residual vanishes identically
         g = GridSpec(8.0, 128, 0.1)
-        base = analytic_phase_table(graph_parabola(0.5), g)
-        tab = type(base)(**{**base.__dict__, "x1_values": np.arange(0.1, 0.2, 0.01)})
+        tab = closed_form_table(graph_parabola(0.5), g, np.arange(0.1, 0.2, 0.01))
         assert eikonal_residual(tab) <= 1e-10
 
     def test_shear_table_matches_closed_form(self):
@@ -235,17 +247,6 @@ class TestPhase:
         for x1 in (0.1, 0.2):
             i = tab.slice_index(x1)
             np.testing.assert_allclose(tab.phi[i], Y * math.exp(-x1) * XI, atol=1e-12)
-
-    def test_tabulated_table_refused_where_analytic_needed(self):
-        g = GridSpec(4.0, 64, 0.1)
-        fl = integrate_flow(graph_shear(), g.x_coords, g.xi_coords, 0.2, dt=1e-2, save_at=[0.1, 0.2])
-        tab = build_phase(fl, g)
-        with pytest.raises(ValueError, match="needs an analytic phase table"):
-            tab.phi_at(0.1, 0.0, g.xi_coords)
-        x1, x2 = g.x_mesh()
-        u = Field2D(g, np.exp(-4.0 * (x1 ** 2 + x2 ** 2)).astype(complex))  # localized
-        with pytest.raises(ValueError, match="needs an analytic phase table"):
-            quasimode_pushforward(tab, u)
 
     def test_shear_residual_small_on_window(self):
         gsh = graph_shear()
@@ -299,36 +300,38 @@ class TestApplyW:
         self.gv = np.exp(-x ** 2 / (2 * 0.4 ** 2)) * np.exp(1j * 0.3 * x / self.g.h)
 
     def test_identity_at_zero(self):
-        tab = analytic_phase_table(graph_circle(), self.g)
-        out = apply_w(tab, self.gv, 0.0, self.g, path="quadrature")
+        tab = closed_form_table(graph_circle(), self.g, [0.0])
+        out = apply_w(tab, self.gv, 0.0, self.g)
         assert np.max(np.abs(out - self.gv)) <= 1e-10
 
     def test_unitary_constant_coefficient(self):
-        tab = analytic_phase_table(graph_circle(), self.g)
-        out = apply_w(tab, self.gv, 0.3, self.g)
+        out = apply_w(graph_circle(), self.gv, 0.3, self.g)
         n0 = np.sqrt(np.sum(np.abs(self.gv) ** 2))
         assert abs(np.sqrt(np.sum(np.abs(out) ** 2)) - n0) / n0 <= 1e-10
 
     def test_multiplier_matches_quadrature(self):
-        tab = analytic_phase_table(graph_circle(), self.g)
-        w1 = apply_w(tab, self.gv, 0.25, self.g, path="multiplier")
-        w2 = apply_w(tab, self.gv, 0.25, self.g, path="quadrature")
+        w1 = apply_w(graph_circle(), self.gv, 0.25, self.g)
+        w2 = apply_w(closed_form_table(graph_circle(), self.g, [0.25]), self.gv, 0.25, self.g)
         assert np.max(np.abs(w1 - w2)) <= 1e-12
 
     def test_adjoint_exact(self):
-        tab = analytic_phase_table(graph_circle(), self.g)
+        tab = closed_form_table(graph_circle(), self.g, [0.2])
         x = self.g.x_coords
         u2 = np.exp(-(x - 0.3) ** 2) * np.exp(1j * 0.2 * x / self.g.h)
-        lhs = np.sum(apply_w(tab, self.gv, 0.2, self.g, path="quadrature") * np.conj(u2)) * self.g.dx
-        rhs = np.sum(self.gv * np.conj(apply_w_star(tab, u2, 0.2, self.g, path="quadrature"))) * self.g.dx
+        lhs = np.sum(apply_w(tab, self.gv, 0.2, self.g) * np.conj(u2)) * self.g.dx
+        rhs = np.sum(self.gv * np.conj(apply_w_star(tab, u2, 0.2, self.g))) * self.g.dx
         assert abs(lhs - rhs) <= 1e-10
 
     def test_star_solves_transposed_equation(self):
         # x-independent circle: W* is the inverse multiplier
-        tab = analytic_phase_table(graph_circle(), self.g)
-        w = apply_w(tab, self.gv, 0.2, self.g)
-        back = apply_w_star(tab, w, 0.2, self.g)
+        w = apply_w(graph_circle(), self.gv, 0.2, self.g)
+        back = apply_w_star(graph_circle(), w, 0.2, self.g)
         assert np.max(np.abs(back - self.gv)) <= 1e-10
+
+    def test_x_dependent_graph_refused(self):
+        for apply in (apply_w, apply_w_star):
+            with pytest.raises(ValueError, match="graph 'shear' depends on x"):
+                apply(graph_shear(), self.gv, 0.2, self.g)
 
     def test_variable_coefficient_w_star_w(self):
         gsh = graph_shear()
@@ -453,34 +456,40 @@ class TestPushforward:
         x1, x2 = g.x_mesh()
         window = np.exp(-(x1 ** 2 + x2 ** 2) / (2 * 1.0 ** 2))
         u = Field2D(g, np.exp(1j * (a_val * x1 + xi2_0 * x2) / g.h) * window)
-        tab = analytic_phase_table(graph_circle(), g)
-        v = quasimode_pushforward(tab, u)
+        v = quasimode_pushforward(graph_circle(), u)
         # v should be a near-null field of hD_x1: windowed plane wave sheared to xi1 ~ 0
         rep = defect(xi1_symbol(), v, 1)
         assert rep.defect <= 3 * g.h  # window bandwidth dominates
         # exact-null variant: unwindowed wave is constant in x1 after W
         u2 = Field2D(g, np.exp(1j * (a_val * x1 + xi2_0 * x2) / g.h))
-        v2 = quasimode_pushforward(tab, u2, localization_tol=1.1)
+        v2 = quasimode_pushforward(graph_circle(), u2, localization_tol=1.1)
         col = v2.values[0]
         assert np.max(np.abs(v2.values - col[None, :])) <= 1e-8
 
     def test_norm_preserved(self):
         g = GridSpec(8.0, 256, 0.05)
         u = build_graph_adapted_quasimode(g, graph_circle(), 1)
-        v = quasimode_pushforward(analytic_phase_table(graph_circle(), g), u)
+        v = quasimode_pushforward(graph_circle(), u)
         assert v.l2_norm() == pytest.approx(u.l2_norm(), rel=1e-10)
 
     def test_zero_field(self):
         g = GridSpec(8.0, 64, 0.1)
         u = Field2D(g, np.zeros((64, 64), complex))
-        v = quasimode_pushforward(analytic_phase_table(graph_circle(), g), u)
+        v = quasimode_pushforward(graph_circle(), u)
         assert np.all(v.values == 0.0)
+
+    def test_x_dependent_graph_refused(self):
+        g = GridSpec(4.0, 64, 0.1)
+        x1, x2 = g.x_mesh()
+        u = Field2D(g, np.exp(-4.0 * (x1 ** 2 + x2 ** 2)).astype(complex))  # localized
+        with pytest.raises(ValueError, match="graph 'shear' depends on x"):
+            quasimode_pushforward(graph_shear(), u)
 
     def test_delocalized_input_rejected(self):
         g = GridSpec(8.0, 64, 0.1)
         u = plane_wave(g, (g.xi_coords[40], 0.0))
         with pytest.raises(ValueError, match="not localized"):
-            quasimode_pushforward(analytic_phase_table(graph_circle(), g), u)
+            quasimode_pushforward(graph_circle(), u)
 
     def test_zero_band_captures_pushforward_mass(self):
         # straightened model field concentrates in the lowest dyadic band
@@ -495,7 +504,7 @@ class TestPushforward:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             u = build_t_alpha(TAlphaSpec(h=h, alpha=1.0 / (k + 1)), g)
-        v = quasimode_pushforward(analytic_phase_table(graph_circle(), g), u,
+        v = quasimode_pushforward(graph_circle(), u,
                                   localization_tol=0.5)
         spec = semiclassical_fft(v).values
         part = make_partition(h, k)
@@ -515,7 +524,7 @@ class TestPushforward:
                 n *= 2
             g = GridSpec(8.0, n, h)
             u = build_graph_adapted_quasimode(g, graph_circle(), k)
-            v = quasimode_pushforward(analytic_phase_table(graph_circle(), g), u)
+            v = quasimode_pushforward(graph_circle(), u)
             ratios1.append(defect(xi1_symbol(), v, 1).ratio_to_power)
             ratios2.append(defect(xi2_power_symbol(k + 1), v, 1).ratio_to_power)
         assert max(ratios1) / min(ratios1) <= 3.0
