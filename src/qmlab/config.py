@@ -59,6 +59,19 @@ def _integer(key: str, value: float) -> int:
     return int(value)
 
 
+def _real(key: str, value: float) -> float:
+    """A real parameter (inf included); a boolean or a word is refused, never coerced."""
+    if isinstance(value, (bool, str)) or math.isnan(value):
+        raise ValueError(f"{key} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _boolean(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 _SYMBOL_FACTORIES = {
     "circle_minus_one": lambda: symbols.circle_minus_one(),
     "contact_circle": lambda k, c: symbols.contact_perturbed_circle(_integer("k", k), float(c)),
@@ -152,23 +165,20 @@ class ExperimentConfig:
 
 _EXPERIMENT_KEYS = {"name", "h_list", "seed", "out_dir"}
 _GRID_KEYS = {"half_width", "coverage", "n_max", "points_per_axis"}
+# stage keys, each with the check its value (every element of a list alike) passes
+# at parse time; only the _STAGE_LIST_KEYS take a whitespace-separated list
 _STAGE_KEYS = {
-    "construct": {"alpha", "normalization", "smoothed_edges"},
-    "flat_quasimode": {"k", "sigma1_factor", "sigma2_factor"},
-    "propagate": {"graph"},
-    "norms": {"p"},
-    "defect": {"symbol", "symbol2", "powers"},
-    "cwt_norms": {"k", "a_min_pow", "a_max", "per_decade", "reference_a"},
-    "kernel": {"graph", "k", "j_list", "a_list"},
-    "egorov": {"k_list", "x1_list", "tilt"},
+    "construct": {"alpha": _real, "normalization": None, "smoothed_edges": _boolean},
+    "flat_quasimode": {"k": _integer, "sigma1_factor": _real, "sigma2_factor": _real},
+    "propagate": {"graph": None},
+    "norms": {"p": _real},
+    "defect": {"symbol": None, "symbol2": None, "powers": _integer},
+    "cwt_norms": {"k": _integer, "a_min_pow": _real, "a_max": _real, "per_decade": _integer,
+                  "reference_a": _real},
+    "kernel": {"graph": None, "k": _integer, "j_list": _integer, "a_list": None},
+    "egorov": {"k_list": _integer, "x1_list": _real, "tilt": _real},
 }
-_STAGE_INTEGER_KEYS = {
-    "flat_quasimode": {"k"},
-    "cwt_norms": {"k", "per_decade"},
-    "kernel": {"k", "j_list"},
-    "egorov": {"k_list"},
-    "defect": {"powers"},
-}
+_STAGE_LIST_KEYS = {"p", "j_list", "a_list", "k_list", "x1_list", "powers"}
 _ASSERT_KEYS = {
     "slope": {"quantity", "p", "expected", "tol"},
     "slope_min": {"quantity", "p", "expected", "tol"},
@@ -277,10 +287,12 @@ def parse_config(text: str) -> ExperimentConfig:
                 errors.append(f"line {lineno}: stage kind is set in the header")
             elif key not in _STAGE_KEYS[payload.kind]:
                 errors.append(f"line {lineno}: unknown key {key!r} for stage {payload.kind}")
-            elif key in _STAGE_INTEGER_KEYS.get(payload.kind, ()):
+            elif isinstance(value, list) and key not in _STAGE_LIST_KEYS:
+                errors.append(f"line {lineno}: {key} takes one value, got {raw!r}")
+            elif check := _STAGE_KEYS[payload.kind][key]:
                 try:
-                    payload.params[key] = ([_integer(key, v) for v in value]
-                                           if isinstance(value, list) else _integer(key, value))
+                    payload.params[key] = ([check(key, v) for v in value]
+                                           if isinstance(value, list) else check(key, value))
                 except ValueError as exc:
                     errors.append(f"line {lineno}: {exc}")
             else:
@@ -370,33 +382,27 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
     w = wavelets.default_wavelet()
     for stage in cfg.stages:
         p = stage.params
+        # parse_config has typed every parameter (_STAGE_KEYS)
         if stage.kind == "construct":
-            alpha = float(p.get("alpha", 0.5))
-            grid = _grid_for(cfg, h)
-            spec = quasimodes.TAlphaSpec(
-                h=h, alpha=alpha,
-                normalization=str(p.get("normalization", "unit_l2")),
-                smoothed_edges=bool(p.get("smoothed_edges", False)),
-            )
-            fld = quasimodes.build_t_alpha(spec, grid)
+            alpha = p.get("alpha", 0.5)
+            spec = quasimodes.TAlphaSpec(h=h, alpha=alpha,
+                                         normalization=str(p.get("normalization", "unit_l2")),
+                                         smoothed_edges=p.get("smoothed_edges", False))
+            fld = quasimodes.build_t_alpha(spec, _grid_for(cfg, h))
         elif stage.kind == "flat_quasimode":
-            grid = _grid_for(cfg, h)
             fld = quasimodes.build_flat_quasimode(
-                grid, int(p["k"]),
-                sigma1_factor=float(p.get("sigma1_factor", 3.0)),
-                sigma2_factor=float(p.get("sigma2_factor", 0.5)),
-            )
+                _grid_for(cfg, h), p["k"], sigma1_factor=p.get("sigma1_factor", 3.0),
+                sigma2_factor=p.get("sigma2_factor", 0.5))
         elif stage.kind == "propagate":
             fld = quasimode_pushforward(parse_graph_expr(str(p.get("graph", "circle"))), fld)
         elif stage.kind == "norms":
             for pv in _as_list(p.get("p", [2.0])):
-                pv = float(pv)
                 rows[("lp_norm", pv, None, None, alpha)] = lp_norm(fld, pv)
         elif stage.kind == "defect":
             p1 = parse_symbol_expr(str(p["symbol"]))
             p2 = parse_symbol_expr(str(p["symbol2"])) if "symbol2" in p else None
             powers = _as_list(p.get("powers", [1, 0]))
-            pairs = [(int(powers[i]), int(powers[i + 1])) for i in range(0, len(powers), 2)]
+            pairs = [(powers[i], powers[i + 1]) for i in range(0, len(powers), 2)]
             for m1, m2 in pairs:
                 if p2 is None:
                     rep = quasimodes.defect(p1, fld, max(m1, 1))
@@ -405,16 +411,13 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
                 rows[(f"defect_m{m1}_{m2}", None, None, None, alpha)] = rep.defect
                 rows[(f"defect_ratio_m{m1}_{m2}", None, None, None, alpha)] = rep.ratio_to_power
         elif stage.kind == "cwt_norms":
-            k = int(p["k"])
+            k = p["k"]
             part = wavelets.make_partition(h, k)
-            a_grid = wavelets.default_scale_grid(
-                h ** float(p.get("a_min_pow", 0.6)),
-                float(p.get("a_max", 4.0)),
-                per_decade=int(p.get("per_decade", 24)),
-            )
+            a_grid = wavelets.default_scale_grid(h ** p.get("a_min_pow", 0.6), p.get("a_max", 4.0),
+                                                 per_decade=p.get("per_decade", 24))
             tab = wavelets.coefficient_norm_table(fld, w, a_grid, part)
             a = tab["a"]
-            iref = int(np.argmin(np.abs(a - float(p.get("reference_a", 1.0)))))
+            iref = int(np.argmin(np.abs(a - p.get("reference_a", 1.0))))
             c_ref = tab["bands"][iref, 0] / a[iref] ** 1.5
             worst = 0.0
             for i, ai in enumerate(a):
@@ -431,10 +434,10 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
                     list(zip(a[sel], tab["bands"][sel, 0])), quantity="small_a")
                 rows[("cwt_small_a_slope", None, k, 0, None)] = fit.slope
         elif stage.kind == "kernel":
-            k = int(p.get("k", 1))
+            k = p.get("k", 1)
             graph = parse_graph_expr(str(p.get("graph", "parabola")))
             part = wavelets.make_partition(h, k)
-            j_list = [int(j) for j in _as_list(p.get("j_list", [0, 2, 4]))]
+            j_list = _as_list(p.get("j_list", [0, 2, 4]))
             a_list = []
             for tok in _as_list(p.get("a_list", ["h^0.3", 0.5])):
                 if isinstance(tok, str) and tok.startswith("h^"):
@@ -450,11 +453,10 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
                 rows[(f"kernel_C_{regime}", None, k, None, None)] = c
             rows[("kernel_pass", None, k, None, None)] = 1.0 if rep.passed else 0.0
         elif stage.kind == "egorov":
-            tilt = float(p.get("tilt", 0.1))
-            a_g = symbols.graph_tilted_circle(tilt)
-            for k in [int(v) for v in _as_list(p.get("k_list", [1, 2]))]:
+            a_g = symbols.graph_tilted_circle(p.get("tilt", 0.1))
+            for k in _as_list(p.get("k_list", [1, 2])):
                 q_g = symbols.graph_sum(a_g, symbols.graph_monomial(k, 1.0))
-                for x1 in [float(v) for v in _as_list(p.get("x1_list", [0.1, 0.3]))]:
+                for x1 in _as_list(p.get("x1_list", [0.1, 0.3])):
                     # conjugated_symbol reads only the flow's graph, dt and end
                     # time, so one launch point suffices
                     fl = integrate_flow(a_g, [0.0], [0.0], x1, dt=1e-3, save_at=[x1])

@@ -29,7 +29,6 @@ from .symbols import GraphFn
 from .wavelets import DyadicPartition, WaveletSpec
 
 __all__ = [
-    "ExponentQuery",
     "ExponentFit",
     "KernelSample",
     "KernelCheckReport",
@@ -54,22 +53,6 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 # exponents
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExponentQuery:
-    """Bundle of (p, k, j) with the validity ranges enforced."""
-
-    p: float | Fraction
-    k: int = 1
-    j: int = 0
-
-    def __post_init__(self):
-        _inverse_p(self.p)
-        if self.k < 1:
-            raise ValueError(f"contact order k must be >= 1, got {self.k}")
-        if self.j < 0:
-            raise ValueError(f"band index j must be >= 0, got {self.j}")
-
 
 def _inverse_p(p):
     """1/p, keeping exact arithmetic for int/Fraction/infinite p."""

@@ -9,9 +9,10 @@ m = -N/2 .. N/2-1, so the transform pair
 
 is exactly unitary at the discrete level (dx * dxi * N = 2 pi h per axis).
 
-A field made by :func:`semiclassical_ifft` keeps its spectrum, and rescaling
-carries it; every other construction leaves it ``None``, so consumers such as
-the defect measurements can read a carried spectrum instead of transforming.
+A field made by :func:`semiclassical_ifft` keeps its spectrum and synthesizes
+its samples on their first read; every other construction leaves it ``None``.
+Consumers such as the defect measurements read a carried spectrum instead of
+transforming, so a field that nobody samples is never synthesized.
 
 All operations are pure functions; fields are immutable after construction
 and norms use numpy's fixed-order pairwise summation, so results are
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -143,41 +145,37 @@ def _check_values(grid: GridSpec, values: np.ndarray, what: str) -> np.ndarray:
         raise GridError(f"{what} shape {values.shape} != grid shape {(n, n)}")
     if not np.all(np.isfinite(values.view(np.float64))):
         raise GridError(f"{what} contains non-finite entries")
+    values.setflags(write=False)
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field2D:
     """Complex samples u(x1, x2); row index = x1, column index = x2.
 
-    ``spectrum``: the spectrum the samples were synthesized from by
-    :func:`semiclassical_ifft` (then only rescaled), else ``None``.
+    ``spectrum``: the spectrum the samples are synthesized from by
+    :func:`semiclassical_ifft`, else ``None``.  ``Field2D(grid, None, spectrum)``
+    defers that synthesis to the first read of ``values``.
     """
 
     grid: GridSpec
-    values: np.ndarray = field(repr=False)
-    spectrum: SpectralField2D | None = field(default=None, compare=False, repr=False)
+    samples: InitVar[np.ndarray | None] = None
+    spectrum: SpectralField2D | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.grid, self.values, "field"))
-        self.values.setflags(write=False)
+    def __post_init__(self, samples):
         if self.spectrum is not None and self.spectrum.grid != self.grid:
             raise GridError("spectrum grid differs from the field grid")
+        if samples is not None:
+            object.__setattr__(self, "values", _check_values(self.grid, samples, "field"))
+        elif self.spectrum is None:
+            raise GridError("a field needs samples or a spectrum")
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _check_values(self.grid, _synthesize(self.spectrum), "field")
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2)) * self.grid.dx)
-
-    def scaled(self, factor: complex) -> "Field2D":
-        spec = self.spectrum
-        if spec is not None:
-            spec = SpectralField2D(self.grid, spec.values * factor, spec.warnings)
-        return Field2D(self.grid, self.values * factor, spec)
-
-    def normalized(self) -> "Field2D":
-        nrm = self.l2_norm()
-        if nrm == 0.0:
-            raise GridError("cannot normalize the zero field")
-        return self.scaled(1.0 / nrm)
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,6 @@ class SpectralField2D:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _check_values(self.grid, self.values, "spectrum"))
-        self.values.setflags(write=False)
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2)) * self.grid.dxi)
@@ -215,12 +212,24 @@ def semiclassical_fft(u: Field2D) -> SpectralField2D:
 
 
 def semiclassical_ifft(spec: SpectralField2D) -> Field2D:
-    """Exact inverse of :func:`semiclassical_fft`; the field keeps ``spec``."""
+    """Exact inverse of :func:`semiclassical_fft`; the field keeps ``spec`` and
+    synthesizes its samples on their first read."""
+    return Field2D(spec.grid, None, spec)
+
+
+def _synthesize(spec: SpectralField2D) -> np.ndarray:
+    # ifft2 transforms axis 1 and then axis 0; the axis-1 pass of a zero row
+    # is zero, so only the nonzero rows take it, scattered to their shifted
+    # places, and the axis-0 pass runs in place.
     g = spec.grid
-    ph = _alternating_signs(g.points_per_axis)
+    n = g.points_per_axis
+    ph = _alternating_signs(n)
     coef = g.dx ** 2 / (2.0 * np.pi * g.h)
-    vals = np.fft.ifft2(np.fft.ifftshift(spec.values / (coef * ph[:, None] * ph[None, :])))
-    return Field2D(g, vals, spec)
+    rows = np.flatnonzero(spec.values.any(axis=1))
+    part = spec.values[rows] / (coef * ph[rows, None] * ph[None, :])
+    out = np.zeros((n, n), dtype=np.complex128)
+    out[(rows + n // 2) % n] = np.fft.ifft(np.fft.ifftshift(part, axes=1), axis=1)
+    return np.fft.ifft(out, axis=0, out=out)
 
 
 def sfft1d(values: np.ndarray, grid: GridSpec, axis: int = -1) -> np.ndarray:

@@ -6,11 +6,12 @@ lattice: an approximate null field of |xi|^2 - 1 whose angular spread is
 tuned by alpha.  Defect reports measure ||p1^M1 p2^M2 u||_2 / ||u||_2 and
 compare against the expected h^(M1+M2) decay.
 
-Every quasimode built here keeps the spectrum u^ it is synthesized from.
-For x-independent symbols p(hD) is the exact multiplier p(xi), so by
-discrete Plancherel the defect is ||m u^|| / ||u^||, with m = p2^M2 p1^M1
-evaluated only on the nonzero support of u^.  Fields without a spectrum, and
-x-dependent symbols, go through ``apply_left_quantization``.
+Every quasimode built here is defined by its spectrum u^: the builders
+normalize u^ and synthesize the field from it on the first read of its
+samples.  For x-independent symbols p(hD) is the exact multiplier p(xi),
+so by discrete Plancherel the defect is ||m u^|| / ||u^||, with
+m = p2^M2 p1^M1 evaluated only on the nonzero support of u^.  Fields without
+a spectrum, and x-dependent symbols, go through ``apply_left_quantization``.
 
 Grids are chosen per h so the lattice covers the unit circle with ~25%
 margin while the annulus of width 2h keeps at least two radial lattice
@@ -97,8 +98,10 @@ def grid_for_t_alpha(h: float, half_width: float = 5.0, coverage: float = 1.25,
     return GridSpec(half_width, n, h)
 
 
-def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec) -> SpectralField2D:
-    """Indicator (or mollified indicator) of the polar rectangle on the lattice."""
+def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec,
+                      normalized: bool = False) -> SpectralField2D:
+    """Indicator (or mollified indicator) of the polar rectangle on the lattice;
+    ``normalized`` scales it by ``spec.normalization`` (see :func:`build_t_alpha`)."""
     h, alpha = spec.h, spec.alpha
     if grid.h != h:
         raise ValueError(f"grid.h = {grid.h} differs from spec.h = {h}")
@@ -127,17 +130,21 @@ def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec) -> SpectralField2D:
     rr = np.hypot(xi1, xi2)
     theta0 = math.atan2(spec.omega0[1], spec.omega0[0])
     ang = np.abs(np.angle(np.exp(1j * (np.arctan2(xi2, xi1) - theta0))))
-    vals = np.zeros((grid.n, grid.n), dtype=np.complex128)
     if spec.smoothed_edges:
         w = h / 8.0
-        vals[box] = smoothstep((h - np.abs(rr - 1.0)) / w) * smoothstep((arc - ang) / w)
+        inside = smoothstep((h - np.abs(rr - 1.0)) / w) * smoothstep((arc - ang) / w)
     else:
-        vals[box] = (np.abs(rr - 1.0) < h) & (ang < arc)
-    inside = int(np.count_nonzero(vals))
-    if inside < 8:
+        inside = ((np.abs(rr - 1.0) < h) & (ang < arc)).astype(float)
+    count = int(np.count_nonzero(inside))
+    if count < 8:
         raise UnderResolvedError(
-            f"only {inside} lattice points inside the polar rectangle (need >= 8)"
+            f"only {count} lattice points inside the polar rectangle (need >= 8)"
         )
+    if normalized:
+        inside = inside * (1.0 / (np.sqrt(np.sum(inside ** 2)) * grid.dxi)
+                           if spec.normalization == "unit_l2" else h ** (-0.5 - alpha))
+    vals = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    vals[box] = inside
     return SpectralField2D(grid, vals, () if grid.resolves_unit_band else (
         "frequency lattice does not cover [-2, 2]^2",
     ))
@@ -146,17 +153,14 @@ def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec) -> SpectralField2D:
 def build_t_alpha(spec: TAlphaSpec, grid: GridSpec) -> Field2D:
     """Inverse transform of the polar-rectangle indicator, normalized.
 
-    unit_l2 rescales so the discrete L^2 norm is exactly 1; the
-    analytic_prefactor variant keeps the closed-form prefactor
-    h^(-3/2-alpha)/(2 pi) of the defining oscillatory integral (its L^2 norm
-    is then ~ 2 h^(-alpha/2), not 1; both normalizations are available since
-    every scaling claim is slope-based).
+    The spectrum is normalized before the one synthesis, which runs on the
+    first read of the samples.  unit_l2 divides by the indicator's discrete
+    L^2 norm, the field's by discrete Plancherel; analytic_prefactor keeps
+    the closed-form prefactor h^(-3/2-alpha)/(2 pi) of the defining
+    oscillatory integral (its L^2 norm is then ~ 2 h^(-alpha/2), not 1; both
+    normalizations are available since every scaling claim is slope-based).
     """
-    chi = t_alpha_indicator(spec, grid)
-    u = semiclassical_ifft(chi)
-    if spec.normalization == "unit_l2":
-        return u.normalized()
-    return u.scaled(spec.h ** (-0.5 - spec.alpha))
+    return semiclassical_ifft(t_alpha_indicator(spec, grid, normalized=True))
 
 
 @dataclass(frozen=True)
@@ -283,8 +287,10 @@ def build_graph_adapted_quasimode(grid: GridSpec, graph_fn: GraphFn, k: int,
     a_vals = np.asarray(graph_fn.value(0.0, 0.0, xi2), dtype=float)
     vals = np.exp(-((xi1 - a_vals) ** 2) / (2 * s1 ** 2)
                   - ((xi2 - xi2_center) ** 2) / (2 * s2 ** 2))
-    u = semiclassical_ifft(SpectralField2D(grid, vals.astype(np.complex128)))
-    return u.normalized()
+    nrm = float(np.sqrt(np.sum(vals ** 2)) * grid.dxi)
+    if nrm == 0.0:
+        raise UnderResolvedError("the Gaussian spectrum underflows to zero on the lattice")
+    return semiclassical_ifft(SpectralField2D(grid, (vals * (1.0 / nrm)).astype(np.complex128)))
 
 
 def plane_wave(grid: GridSpec, xi0: tuple[float, float]) -> Field2D:

@@ -142,6 +142,42 @@ symbol = circle_minus_one
         assert values == [int(float(v)) for v in good.split()]
         assert all(type(v) is int for v in values)
 
+    @pytest.mark.parametrize("stage, key, bad", [
+        ("construct", "alpha", "true"),
+        ("construct", "alpha", "0.5x"),
+        ("flat_quasimode", "sigma1_factor", "false"),
+        ("flat_quasimode", "sigma2_factor", "wide"),
+        ("cwt_norms", "a_min_pow", "true"),
+        ("cwt_norms", "a_max", "big"),
+        ("cwt_norms", "reference_a", "nan"),
+        ("egorov", "tilt", "true"),
+        ("egorov", "x1_list", "0.1 abc"),
+        ("norms", "p", "2 true"),
+    ])
+    def test_non_real_stage_parameter_refused(self, stage, key, bad):
+        # alpha = true used to run as alpha = 1.0, and 0.5x only failed per h
+        text = MINIMAL + f"\n[stage {stage}]\n{key} = {bad}\n"
+        with pytest.raises(ConfigError, match=f"line \\d+: {key} must be a real number"):
+            parse_config(text)
+
+    def test_real_stage_parameters_parsed(self):
+        cfg = parse_config(MINIMAL.replace("alpha = 0.5", "alpha = 2^-1\nsmoothed_edges = true")
+                           + "\n[stage cwt_norms]\nk = 1\na_max = 4\n")
+        construct, norms, cwt = (s.params for s in cfg.stages)
+        assert construct == {"alpha": 0.5, "smoothed_edges": True}
+        assert norms["p"] == float("inf")
+        assert type(cwt["a_max"]) is float and cwt["a_max"] == 4.0
+
+    @pytest.mark.parametrize("bad", ["yes", "2", "1", "true false"])
+    def test_smoothed_edges_only_true_or_false(self, bad):
+        text = MINIMAL.replace("alpha = 0.5", f"alpha = 0.5\nsmoothed_edges = {bad}")
+        with pytest.raises(ConfigError, match="smoothed_edges"):
+            parse_config(text)
+
+    def test_list_for_a_single_value_key_refused(self):
+        with pytest.raises(ConfigError, match="alpha takes one value, got '0.5 0.25'"):
+            parse_config(MINIMAL.replace("alpha = 0.5", "alpha = 0.5 0.25"))
+
     @pytest.mark.parametrize("expr, decimal", [
         ("-delta(p=6, k=1)", -0.16666666666666666),
         ("-delta(p=8, k=1)", -0.1875),

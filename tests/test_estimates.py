@@ -9,7 +9,6 @@ import pytest
 from qmlab.symbols import graph_parabola, graph_shear
 from qmlab.wavelets import default_wavelet, make_partition
 from qmlab.estimates import (
-    ExponentQuery,
     KernelSample,
     _regime_bound,
     _window_autocorrelation,
@@ -60,8 +59,6 @@ class TestExponents:
             delta_p_k(8, 0)
         with pytest.raises(ValueError):
             mu_p_j(8, -1)
-        with pytest.raises(ValueError):
-            ExponentQuery(p=8, k=0)
 
     def test_improves_on_single_operator_envelope(self):
         for p in (6, 8, 12, 100, math.inf):

@@ -1,6 +1,7 @@
 """Grid, field and transform contracts."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qmlab.grid import (
     Field2D,
     GridSpec,
     GridError,
+    SpectralField2D,
     export_modulus_csv,
     isfft1d,
     lp_norm,
@@ -21,6 +23,7 @@ from qmlab.grid import (
     sfft1d,
     write_field,
 )
+from qmlab.quasimodes import TAlphaSpec, build_t_alpha, grid_for_t_alpha
 
 
 def direct_transform_oracle(u: Field2D):
@@ -31,6 +34,15 @@ def direct_transform_oracle(u: Field2D):
     e1 = np.exp(-1j * np.outer(xi, x) / g.h)  # (xi, x)
     out = e1 @ u.values @ e1.T
     return out * g.dx ** 2 / (2 * np.pi * g.h)
+
+
+def dense_synthesis_oracle(spec: SpectralField2D) -> np.ndarray:
+    """The inverse transform as one dense ifft2 over all N^2 lattice points."""
+    g = spec.grid
+    m = np.arange(-g.n // 2, g.n // 2)
+    ph = np.where(m % 2 == 0, 1.0, -1.0)
+    coef = g.dx ** 2 / (2.0 * np.pi * g.h)
+    return np.fft.ifft2(np.fft.ifftshift(spec.values / (coef * ph[:, None] * ph[None, :])))
 
 
 class TestGridSpec:
@@ -132,6 +144,30 @@ class TestTransform:
         oracle = (np.exp(1j * (x1 * xi[18] + x2 * xi[14]) / g.h)
                   * g.dxi ** 2 / (2 * np.pi * g.h))
         np.testing.assert_allclose(field.values, oracle, atol=1e-13)
+
+    @pytest.mark.parametrize("case", ["t_alpha_k1", "t_alpha_k2", "t_alpha_k1_tilted",
+                                      "t_alpha_k2_tilted", "dense", "zero", "edge_rows"])
+    def test_row_pruned_synthesis_bitwise_equals_dense(self, case):
+        h = 2.0 ** -6
+        if case.startswith("t_alpha"):
+            k = int(case[len("t_alpha_k")])
+            omega0 = (0.6, 0.8) if case.endswith("tilted") else (1.0, 0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                spec = build_t_alpha(TAlphaSpec(h=h, alpha=1.0 / (k + 1), omega0=omega0),
+                                     grid_for_t_alpha(h)).spectrum
+        else:
+            g = GridSpec(5.0, 128, h)
+            vals = np.zeros((128, 128), complex)
+            if case == "dense":
+                vals = random_field(g, 3).values
+            elif case == "edge_rows":  # rows the shift wraps to the middle and to N/2 - 1
+                vals[0, 5:9] = [1.0, -2.0j, 0.5, 3.0 + 1.0j]
+                vals[127, ::7] = 1.0 - 0.25j
+            spec = SpectralField2D(g, vals)
+        u = semiclassical_ifft(spec)
+        assert u.spectrum is spec
+        assert np.array_equal(u.values, dense_synthesis_oracle(spec))
 
     def test_nonfinite_rejected(self):
         g = GridSpec(8.0, 32, 0.25)

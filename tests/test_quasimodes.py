@@ -6,7 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
-from qmlab.grid import Field2D, GridSpec, lp_norm, semiclassical_fft, semiclassical_ifft, smoothstep
+from qmlab import grid as grid_module
+from qmlab.config import parse_config, run
+from qmlab.grid import (
+    Field2D,
+    GridError,
+    GridSpec,
+    SpectralField2D,
+    lp_norm,
+    semiclassical_fft,
+    semiclassical_ifft,
+    smoothstep,
+)
 from qmlab.quasimodes import (
     TAlphaSpec,
     UnderResolvedError,
@@ -314,15 +325,27 @@ class TestSpectralSupport:
                 chi = t_alpha_indicator(spec, grid)
             assert np.array_equal(chi.values, oracle)
 
-    def test_scaling_carries_and_plain_construction_drops(self):
-        u, _ = build(2.0 ** -5, 0.5)
+    def test_builders_normalize_the_carried_spectrum(self):
+        h, alpha = 2.0 ** -5, 0.5
+        u, grid = build(h, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            chi = t_alpha_indicator(TAlphaSpec(h=h, alpha=alpha), grid)
+            normed = t_alpha_indicator(TAlphaSpec(h=h, alpha=alpha), grid, normalized=True)
+        np.testing.assert_array_equal(u.spectrum.values, normed.values)
+        np.testing.assert_allclose(u.spectrum.values, chi.values / chi.l2_norm(), rtol=1e-14,
+                                   atol=0)
+        np.testing.assert_allclose(u.spectrum.l2_norm(), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(semiclassical_fft(u).values, u.spectrum.values, atol=1e-12)
+        a, _ = build(h, alpha, normalization="analytic_prefactor")
+        np.testing.assert_array_equal(a.spectrum.values, chi.values * h ** (-0.5 - alpha))
+        flat = build_flat_quasimode(GridSpec(8.0, 128, 2.0 ** -4), 1)
+        np.testing.assert_allclose(flat.spectrum.l2_norm(), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(flat.l2_norm(), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(semiclassical_fft(flat).values, flat.spectrum.values,
+                                   atol=1e-12)
         raw = semiclassical_ifft(u.spectrum)
         assert raw.spectrum is u.spectrum
-        s = raw.scaled(2.0 - 1.0j)
-        np.testing.assert_array_equal(s.spectrum.values, u.spectrum.values * (2.0 - 1.0j))
-        n = raw.normalized()
-        np.testing.assert_allclose(n.spectrum.l2_norm(), 1.0, rtol=1e-12)
-        np.testing.assert_allclose(semiclassical_fft(n).values, n.spectrum.values, atol=1e-12)
         assert Field2D(u.grid, u.values).spectrum is None
 
     def test_x_dependent_factor_never_uses_support(self, monkeypatch):
@@ -343,3 +366,73 @@ class TestSpectralSupport:
         calls.clear()
         joint_defect(xi1_symbol(), xi2_power_symbol(2), u, 1, 1)
         assert calls == []
+
+
+JOINT_DEFECT_K1 = """# Joint defect of the circle and its kth-order-contact perturbation on T_alpha.
+[experiment]
+name = joint_defect_k1
+h_list = 2^-5 2^-6 2^-7 2^-8 2^-9
+
+[stage construct]
+alpha = 0.5
+
+[stage defect]
+symbol = circle_minus_one
+symbol2 = contact_circle(k=1, c=1.0)
+powers = 1 1
+
+[assert bounded_ratio]
+kind = ratio_spread
+quantity = defect_ratio_m1_1
+limit = 3.0
+"""
+
+
+class TestLazySynthesis:
+    @pytest.fixture
+    def syntheses(self, monkeypatch):
+        calls = []
+        real = grid_module._synthesize
+
+        def counting(spec):
+            calls.append(spec.grid.h)
+            return real(spec)
+
+        monkeypatch.setattr(grid_module, "_synthesize", counting)
+        return calls
+
+    def test_samples_synthesized_on_first_read_only(self, syntheses):
+        u, _ = build(2.0 ** -5, 0.5)
+        assert "values" not in u.__dict__ and syntheses == []
+        joint_defect(circle_minus_one(), contact_perturbed_circle(1, 1.0), u, 1, 1)
+        assert syntheses == []
+        first = u.values
+        assert u.values is first and not first.flags.writeable
+        assert syntheses == [2.0 ** -5]
+
+    def test_synthesized_samples_are_checked(self):
+        g = GridSpec(4.0, 32, 0.25)
+        vals = np.zeros((32, 32), complex)
+        vals[3, 5] = 1e308  # finite, but its synthesis overflows
+        u = semiclassical_ifft(SpectralField2D(g, vals))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(GridError, match="non-finite"):
+            u.values
+        with pytest.raises(GridError, match="samples or a spectrum"):
+            Field2D(g)
+
+    def test_joint_defect_config_never_synthesizes(self, syntheses):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run(parse_config(JOINT_DEFECT_K1))
+        assert report.passed and all(row.error is None for row in report.rows)
+        assert syntheses == []
+
+    def test_norms_config_synthesizes_each_field_once(self, syntheses):
+        text = JOINT_DEFECT_K1.split("[stage defect]")[0].replace(
+            "2^-5 2^-6 2^-7 2^-8 2^-9", "2^-5 2^-6 2^-7") + "[stage norms]\np = 2 6 inf\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run(parse_config(text))
+        assert all(row.error is None for row in report.rows)
+        assert syntheses == [2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
