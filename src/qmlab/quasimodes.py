@@ -98,10 +98,9 @@ def grid_for_t_alpha(h: float, half_width: float = 5.0, coverage: float = 1.25,
     return GridSpec(half_width, n, h)
 
 
-def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec,
-                      normalized: bool = False) -> SpectralField2D:
-    """Indicator (or mollified indicator) of the polar rectangle on the lattice;
-    ``normalized`` scales it by ``spec.normalization`` (see :func:`build_t_alpha`)."""
+def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec) -> SpectralField2D:
+    """(Mollified) indicator of the polar rectangle on the lattice, scaled as
+    ``spec.normalization`` asks (see :func:`build_t_alpha`)."""
     h, alpha = spec.h, spec.alpha
     if grid.h != h:
         raise ValueError(f"grid.h = {grid.h} differs from spec.h = {h}")
@@ -140,9 +139,8 @@ def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec,
         raise UnderResolvedError(
             f"only {count} lattice points inside the polar rectangle (need >= 8)"
         )
-    if normalized:
-        inside = inside * (1.0 / (np.sqrt(np.sum(inside ** 2)) * grid.dxi)
-                           if spec.normalization == "unit_l2" else h ** (-0.5 - alpha))
+    inside = inside * (1.0 / (np.sqrt(np.sum(inside ** 2)) * grid.dxi)
+                       if spec.normalization == "unit_l2" else h ** (-0.5 - alpha))
     vals = np.zeros((grid.n, grid.n), dtype=np.complex128)
     vals[box] = inside
     return SpectralField2D(grid, vals, () if grid.resolves_unit_band else (
@@ -160,7 +158,7 @@ def build_t_alpha(spec: TAlphaSpec, grid: GridSpec) -> Field2D:
     oscillatory integral (its L^2 norm is then ~ 2 h^(-alpha/2), not 1; both
     normalizations are available since every scaling claim is slope-based).
     """
-    return semiclassical_ifft(t_alpha_indicator(spec, grid, normalized=True))
+    return semiclassical_ifft(t_alpha_indicator(spec, grid))
 
 
 @dataclass(frozen=True)

@@ -63,13 +63,15 @@ class TestConstruction:
         grid = grid_for_t_alpha(h)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            chi = t_alpha_indicator(TAlphaSpec(h=h, alpha=0.5), grid)
+            chi = t_alpha_indicator(
+                TAlphaSpec(h=h, alpha=0.5, normalization="analytic_prefactor"), grid)
         xi1, xi2 = grid.xi_mesh()
         rr = np.hypot(xi1, xi2)
         ang = np.abs(np.arctan2(xi2, xi1))
         outside = ~((np.abs(rr - 1.0) < h) & (ang < h ** 0.5))
         assert np.all(chi.values[outside] == 0.0)
-        assert np.all(np.isin(chi.values[~outside], [1.0]))
+        # the indicator times the prefactor h^(-1/2-alpha)
+        assert np.all(np.isin(chi.values[~outside], [h ** -1.0]))
 
     def test_analytic_prefactor_norm(self):
         # discrete l2 tracks the closed form 2 h^{-alpha/2} of the raw prefactor
@@ -314,8 +316,9 @@ class TestSpectralSupport:
     def test_indicator_bitwise_equal_to_full_mesh(self, omega0, alpha, smoothed):
         for h in (2.0 ** -5, 2.0 ** -7):
             grid = grid_for_t_alpha(h)
-            spec = TAlphaSpec(h=h, alpha=alpha, omega0=omega0, smoothed_edges=smoothed)
-            oracle = full_mesh_indicator(spec, grid)
+            spec = TAlphaSpec(h=h, alpha=alpha, omega0=omega0, smoothed_edges=smoothed,
+                              normalization="analytic_prefactor")
+            oracle = full_mesh_indicator(spec, grid) * h ** (-0.5 - alpha)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 if np.count_nonzero(oracle) < 8:
@@ -328,17 +331,18 @@ class TestSpectralSupport:
     def test_builders_normalize_the_carried_spectrum(self):
         h, alpha = 2.0 ** -5, 0.5
         u, grid = build(h, alpha)
+        spec = TAlphaSpec(h=h, alpha=alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            chi = t_alpha_indicator(TAlphaSpec(h=h, alpha=alpha), grid)
-            normed = t_alpha_indicator(TAlphaSpec(h=h, alpha=alpha), grid, normalized=True)
+            normed = t_alpha_indicator(spec, grid)
+        chi = full_mesh_indicator(spec, grid)
         np.testing.assert_array_equal(u.spectrum.values, normed.values)
-        np.testing.assert_allclose(u.spectrum.values, chi.values / chi.l2_norm(), rtol=1e-14,
-                                   atol=0)
+        np.testing.assert_allclose(u.spectrum.values, chi / SpectralField2D(grid, chi).l2_norm(),
+                                   rtol=1e-14, atol=0)
         np.testing.assert_allclose(u.spectrum.l2_norm(), 1.0, rtol=1e-12)
         np.testing.assert_allclose(semiclassical_fft(u).values, u.spectrum.values, atol=1e-12)
         a, _ = build(h, alpha, normalization="analytic_prefactor")
-        np.testing.assert_array_equal(a.spectrum.values, chi.values * h ** (-0.5 - alpha))
+        np.testing.assert_array_equal(a.spectrum.values, chi * h ** (-0.5 - alpha))
         flat = build_flat_quasimode(GridSpec(8.0, 128, 2.0 ** -4), 1)
         np.testing.assert_allclose(flat.spectrum.l2_norm(), 1.0, rtol=1e-12)
         np.testing.assert_allclose(flat.l2_norm(), 1.0, rtol=1e-12)
