@@ -21,7 +21,7 @@ import numpy as np
 
 from . import estimates, quasimodes, symbols, wavelets
 from .grid import GridSpec, lp_norm
-from .propagator import conjugated_symbol, integrate_flow, quasimode_pushforward
+from .propagator import conjugated_symbol, quasimode_pushforward
 from .symbols import contact_order, graph_catalog
 
 __all__ = [
@@ -457,11 +457,10 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
             for k in _as_list(p.get("k_list", [1, 2])):
                 q_g = symbols.graph_sum(a_g, symbols.graph_monomial(k, 1.0))
                 for x1 in _as_list(p.get("x1_list", [0.1, 0.3])):
-                    # conjugated_symbol reads only the flow's graph, dt and end
-                    # time, so one launch point suffices
-                    fl = integrate_flow(a_g, [0.0], [0.0], x1, dt=1e-3, save_at=[x1])
-                    a_t, q_t = conjugated_symbol(a_g, q_g, fl, x1)
-                    xi0 = (float(a_t.graph(x=(x1, 0.0))(0.0)), 0.0)
+                    a_t, q_t = conjugated_symbol(a_g, q_g, x1, 1e-3)
+                    # a is autonomous, so conserved along its own flow: the
+                    # base point's label a~(0, 0) is a(x1, 0, 0), with no flow
+                    xi0 = (float(a_g.value(x1, 0.0, 0.0)), 0.0)
                     rep = contact_order(a_t, q_t, xi0, max_order=k + 2, x=(x1, 0.0))
                     measured = -1.0 if rep.order == math.inf else float(rep.order)
                     rows[(f"contact_order(x1={x1:g})", None, k, None, None)] = measured

@@ -19,12 +19,14 @@ reproduces that multiplier to rounding (regression-tested), and W* is its
 exact discrete adjoint, so <W g, u> = <g, W* u> holds at quadrature level.
 
 A ``PhaseTable`` is tabulated by the method of characteristics: Hamiltonian
-trajectories (RK4, fixed step, with the 2x2 variational system for the
-Jacobian) carry the action, and each saved x1 slice is interpolated back to
-the rectangular (y2, xi2) grid by a cubic spline in the launch point.  The
-march carries seven flat arrays (y, xi, the four Jacobian entries, the
-action) and reads the generator's jet once per stage.  Caustics
-(|dy/dy0| < 0.1) shorten the usable horizon rather than being crossed.
+trajectories (RK4, fixed step) carry the action and the tangent column
+(dy/dy0, dxi/dy0), and each saved x1 slice is interpolated back to the
+rectangular (y2, xi2) grid by a cubic spline in the launch point.  The march
+carries five flat arrays (y, xi, dy/dy0, dxi/dy0, the action), reads the
+generator's jet once per stage and runs over the launch mesh in blocks of
+``_BLOCK`` trajectories; ``HamiltonianFlow.evaluate`` marches (y, xi) alone.
+Caustics (|dy/dy0| < 0.1) shorten the usable horizon rather than being
+crossed.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
 ]
 
 CAUSTIC_THRESHOLD = 0.1
+_BLOCK = 16384  # trajectories marched together, so that a block's state stays in cache
 
 
 class CausticError(RuntimeError):
@@ -60,7 +63,7 @@ class CausticError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian flow with variational system and action
+# Hamiltonian flow with one tangent column and the action
 # ---------------------------------------------------------------------------
 
 def _lin(p, u, q, v):
@@ -74,19 +77,20 @@ def _neg(p):
     return None if p is None else -p
 
 
-def _flow_rhs(graph: GraphFn, t: float, y, xi, j00, j01, j10, j11, _action):
-    """Time derivatives of the state (y, xi, J, S); None where structurally zero."""
+def _flow_rhs(graph: GraphFn, t: float, y, xi, *tangent_action):
+    """Time derivatives of (y, xi) or (y, xi, dy, dxi, S); None where structurally zero."""
     a, a_xi, a_y, a_yxi, a_xixi, a_yy = graph.jet(t, y, xi)
-    n_yy, n_yxi = _neg(a_yy), _neg(a_yxi)
-    # tangent system dJ/dt = A J with A = [[a_yxi, a_xixi], [-a_yy, -a_yxi]]
+    if not tangent_action:
+        return a_xi, _neg(a_y)
+    dy, dxi, _action = tangent_action
+    # tangent system d(dy, dxi)/dt = A (dy, dxi) with A = [[a_yxi, a_xixi], [-a_yy, -a_yxi]]
     return (a_xi, _neg(a_y),
-            _lin(a_yxi, j00, a_xixi, j10), _lin(a_yxi, j01, a_xixi, j11),
-            _lin(n_yy, j00, n_yxi, j10), _lin(n_yy, j01, n_yxi, j11),
+            _lin(a_yxi, dy, a_xixi, dxi), _lin(_neg(a_yy), dy, _neg(a_yxi), dxi),
             -a if a_xi is None else xi * a_xi - a)
 
 
 def _rk4_march(graph: GraphFn, state, t0: float, dt: float, steps: int):
-    """RK4 on the state (y, xi, j00, j01, j10, j11, S); builds new arrays, never writes."""
+    """RK4 on the state (y, xi[, dy, dxi, S]); builds new arrays, never writes."""
     for s in range(steps):
         t = t0 + s * dt
         k = [_flow_rhs(graph, t, *state)]
@@ -99,41 +103,46 @@ def _rk4_march(graph: GraphFn, state, t0: float, dt: float, steps: int):
 
 
 def _initial_state(y, xi):
-    """(y, xi, J = identity, S = 0) as seven separate arrays."""
+    """(y, xi, tangent d/dy0 = (1, 0), S = 0) as five separate arrays."""
     one, zero = np.ones_like, np.zeros_like
-    return [y, xi, one(y), zero(y), zero(y), one(y), zero(y)]
+    return [y, xi, one(y), zero(y), zero(y)]
+
+
+def _n_steps(x1_max: float, dt: float) -> int:
+    """Steps of a march to x1_max: dt is shortened so that x1_max is a whole number of them."""
+    return max(1, int(math.ceil((x1_max / dt) * (1.0 - 1e-12))))
 
 
 @dataclass(frozen=True)
 class HamiltonianFlow:
     """Trajectories of dy/dt = a_xi, dxi/dt = -a_y from a grid of initial data.
 
-    Snapshots at the saved x1 values carry positions, momenta, the 2x2
-    variational Jacobian and the accumulated action Int (xi a_xi - a) dt.
+    Snapshots at the saved x1 values carry positions, momenta, the tangent
+    column (dy/dy0, dxi/dy0), i.e. the image of d/dy0 under the flow, and
+    the accumulated action Int (xi a_xi - a) dt.  A flow made from its graph
+    and step alone has no snapshots and only evaluates.
     """
 
     graph: GraphFn
-    y_init: np.ndarray
-    xi_init: np.ndarray
     dt: float
-    x1_values: np.ndarray
-    y_of: np.ndarray       # (n_save, ny, nxi)
-    xi_of: np.ndarray
-    jac: np.ndarray        # (n_save, ny, nxi, 2, 2)
-    action: np.ndarray     # (n_save, ny, nxi)
+    y_init: np.ndarray | None = None
+    xi_init: np.ndarray | None = None
+    x1_values: np.ndarray | None = None
+    y_of: np.ndarray | None = None      # (n_save, ny, nxi)
+    xi_of: np.ndarray | None = None
+    dy_dy0: np.ndarray | None = None
+    dxi_dy0: np.ndarray | None = None
+    action: np.ndarray | None = None
     box_half_width: float | None = None
     exited_box: np.ndarray | None = None
     energy_drift: float = 0.0
 
     def evaluate(self, y0, xi0, x1: float):
-        """Flow arbitrary initial data to time x1 by re-integration."""
-        y0 = np.asarray(y0, dtype=float)
-        xi0 = np.asarray(xi0, dtype=float)
-        y0b, xi0b = np.broadcast_arrays(y0, xi0)
+        """Flow arbitrary initial data to time x1 by re-integration of (y, xi) alone."""
+        y0b, xi0b = np.broadcast_arrays(np.asarray(y0, dtype=float),
+                                        np.asarray(xi0, dtype=float))
         steps = max(1, int(round(abs(x1) / self.dt)))
-        dt = x1 / steps
-        state = _initial_state(y0b.astype(float), xi0b.astype(float))
-        y, xi = _rk4_march(self.graph, state, 0.0, dt, steps)[:2]
+        y, xi = _rk4_march(self.graph, [y0b, xi0b], 0.0, x1 / steps, steps)
         return y, xi
 
 
@@ -144,9 +153,10 @@ def integrate_flow(a_graph: GraphFn, y_init: np.ndarray, xi_init: np.ndarray,
     """RK4 integration of the classical system over the initial-data mesh.
 
     dt defaults to min(1e-3, x1_max/100) and is rounded so saved times land
-    exactly on steps.  Trajectories that leave the box are flagged, not
-    clipped; the conservation of a along the flow (for autonomous a) is
-    recorded as energy_drift.
+    exactly on steps.  The flattened mesh is marched in blocks of ``_BLOCK``
+    trajectories.  Trajectories that leave the box are flagged, not clipped;
+    the conservation of a along the flow (for autonomous a) is recorded as
+    energy_drift.
     """
     if x1_max <= 0:
         raise ValueError("x1_max must be positive")
@@ -154,7 +164,7 @@ def integrate_flow(a_graph: GraphFn, y_init: np.ndarray, xi_init: np.ndarray,
     xi_init = np.asarray(xi_init, dtype=float)
     if dt is None:
         dt = min(1e-3, x1_max / 100.0)
-    n_steps = max(1, int(math.ceil((x1_max / dt) * (1.0 - 1e-12))))
+    n_steps = _n_steps(x1_max, dt)
     dt = x1_max / n_steps
     if save_at is None:
         save_at = np.array([0.0, x1_max])
@@ -164,22 +174,22 @@ def integrate_flow(a_graph: GraphFn, y_init: np.ndarray, xi_init: np.ndarray,
     if save_steps[-1] > n_steps:
         raise ValueError("save_at contains times beyond x1_max")
 
-    y = np.repeat(y_init[:, None], len(xi_init), axis=1)
-    xi = np.repeat(xi_init[None, :], len(y_init), axis=0)
+    mesh = (len(y_init), len(xi_init))
+    y = np.repeat(y_init, mesh[1])
+    xi = np.tile(xi_init, mesh[0])
+    out = np.empty((5, len(save_steps), y.size))  # y, xi, dy/dy0, dxi/dy0, S per snapshot
+    for lo in range(0, y.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        state, prev = _initial_state(y[block], xi[block]), 0
+        for i, s in enumerate(save_steps):
+            state = _rk4_march(a_graph, state, prev * dt, dt, s - prev)
+            prev = s
+            out[:, i, block] = state
+    y_of, xi_of, dy_dy0, dxi_dy0, action = out.reshape((5, len(save_steps)) + mesh)
+    times = np.asarray(save_steps) * dt
+
     a0 = np.asarray(a_graph.value(0.0, y, xi), dtype=float)
-
-    state = _initial_state(y, xi)
-    snaps, times = [], []
-    prev = 0
-    for s in save_steps:
-        state = _rk4_march(a_graph, state, prev * dt, dt, s - prev)
-        prev = s
-        times.append(s * dt)
-        snaps.append(state)
-    y_of, xi_of, j00, j01, j10, j11, action = (np.stack(c) for c in zip(*snaps))
-    jac = np.stack([j00, j01, j10, j11], axis=-1).reshape(j00.shape + (2, 2))
-
-    a_end = np.asarray(a_graph.value(times[-1], y_of[-1], xi_of[-1]), dtype=float)
+    a_end = np.asarray(a_graph.value(times[-1], out[0, -1], out[1, -1]), dtype=float)
     drift = float(np.max(np.abs(a_end - a0)))
     exited = None
     if box_half_width is not None:
@@ -189,8 +199,8 @@ def integrate_flow(a_graph: GraphFn, y_init: np.ndarray, xi_init: np.ndarray,
                 f"{int(exited.sum())} trajectories left the box [-{box_half_width}, "
                 f"{box_half_width}] by x1 = {times[-1]:.3g}", stacklevel=2)
     return HamiltonianFlow(
-        graph=a_graph, y_init=y_init, xi_init=xi_init, dt=dt,
-        x1_values=np.asarray(times), y_of=y_of, xi_of=xi_of, jac=jac,
+        graph=a_graph, dt=dt, y_init=y_init, xi_init=xi_init,
+        x1_values=times, y_of=y_of, xi_of=xi_of, dy_dy0=dy_dy0, dxi_dy0=dxi_dy0,
         action=action, box_half_width=box_half_width,
         exited_box=exited, energy_drift=drift,
     )
@@ -259,8 +269,8 @@ def build_phase(flow: HamiltonianFlow, grid: GridSpec,
     gaps = 0
     usable = n_save
     for s in range(n_save):
-        j11 = flow.jac[s][..., 0, 0]
-        if np.min(j11) < CAUSTIC_THRESHOLD:
+        dy_dy0 = flow.dy_dy0[s]
+        if np.min(dy_dy0) < CAUSTIC_THRESHOLD:
             horizon = flow.x1_values[s - 1] if s > 0 else 0.0
             caustic_limited = True
             usable = s
@@ -278,7 +288,7 @@ def build_phase(flow: HamiltonianFlow, grid: GridSpec,
             phi[s, :, m] = spline(y_grid)
             gaps += int(np.count_nonzero((y_grid < y_t[0]) | (y_grid > y_t[-1])))
             if transport_correction:
-                amp[s, :, m] = np.interp(y_grid, y_t, j11[:, m]) ** -0.5
+                amp[s, :, m] = np.interp(y_grid, y_t, dy_dy0[:, m]) ** -0.5
     if flow.x1_values[0] == 0.0:
         phi[0] = y_grid[:, None] * xi_grid[None, :]  # exact initial condition
         if transport_correction:
@@ -401,17 +411,21 @@ def _pullback_graph_symbol(fn, label: str) -> SymbolSpec:
     return custom_symbol(value, label=label, x_dependent=True, graph=graph)
 
 
-def conjugated_symbol(a_graph: GraphFn, q_graph: GraphFn, flow: HamiltonianFlow,
-                      x1: float):
-    """Pull a and q back along the flow at time x1.
+def conjugated_symbol(a_graph: GraphFn, q_graph: GraphFn, x1: float, dt: float):
+    """Pull a and q back along the flow of a at time x1 >= 0.
 
     Returns (a_tilde, q_tilde) as graph symbols: each evaluates
     s(x1, y(x1; x2, xi2), xi(x1; x2, xi2)) at the frozen conjugation time.
+    The flow takes steps of dt, shortened as :func:`integrate_flow` does so
+    that x1 is a whole number of them, and a~ and q~ share one flow per
+    point set.
     """
     a_graph = _as_graph_fn(a_graph)
     q_graph = _as_graph_fn(q_graph)
-    if x1 < 0 or x1 > flow.x1_values[-1] + 1e-12:
-        raise ValueError(f"x1 = {x1} outside the integrated range")
+    if not (x1 >= 0 and dt > 0):
+        raise ValueError(f"conjugation needs x1 >= 0 and dt > 0, got x1 = {x1}, dt = {dt}")
+    # at x1 = 0 one step of length zero: the pullback is the identity
+    flow = HamiltonianFlow(a_graph, x1 / _n_steps(x1, dt) if x1 > 0 else dt)
 
     memo = {}  # one entry: flowed endpoints of the latest exact (x2, xi2), shared by a~ and q~
 

@@ -254,10 +254,8 @@ class TestCriterion7:
         for k in (1, 2):
             q_g = graph_sum(a_g, graph_monomial(k, 1.0))
             for x1 in (0.1, 0.3):
-                fl = integrate_flow(a_g, np.linspace(-1.5, 1.5, 33),
-                                    np.linspace(-0.5, 0.5, 17), x1, dt=1e-3, save_at=[x1])
-                a_t, q_t = conjugated_symbol(a_g, q_g, fl, x1)
-                xi0 = (float(a_t.graph(x=(x1, 0.0))(0.0)), 0.0)
+                a_t, q_t = conjugated_symbol(a_g, q_g, x1, 1e-3)
+                xi0 = (float(a_g.value(x1, 0.0, 0.0)), 0.0)
                 rep = contact_order(a_t, q_t, xi0, max_order=k + 2, x=(x1, 0.0))
                 ok &= rep.order == k and not rep.inconclusive
                 details.append(f"k={k} x1={x1}: {rep.order}")

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qmlab import propagator
 from qmlab.grid import Field2D, GridSpec
 from qmlab.propagator import (
     CausticError,
@@ -38,6 +39,14 @@ from qmlab.symbols import (
 
 def mesh(y, xi):
     return np.meshgrid(y, xi, indexing="ij")
+
+
+def launch_tangent(monkeypatch, dy, dxi):
+    """Make the library march launch its tangent column at (dy, dxi) instead of d/dy0 = (1, 0)."""
+    def initial_state(y, xi):
+        return [y, xi, np.full_like(y, dy), np.full_like(y, dxi), np.zeros_like(y)]
+
+    monkeypatch.setattr(propagator, "_initial_state", initial_state)
 
 
 def closed_form_table(graph, grid, x1_values):
@@ -85,10 +94,12 @@ class TestFlow:
         assert rel <= 1e-8
         assert np.max(np.abs(fl.xi_of[-1] - XI * math.exp(-t))) <= 1e-8
 
-    def test_symplectic_jacobian(self):
-        fl = integrate_flow(graph_shear(), np.linspace(-2, 2, 9),
-                            np.linspace(-0.5, 0.5, 7), 0.5, dt=1e-3)
-        det = np.linalg.det(fl.jac[-1])
+    def test_symplectic_jacobian(self, monkeypatch):
+        args = (graph_shear(), np.linspace(-2, 2, 9), np.linspace(-0.5, 0.5, 7), 0.5)
+        c0 = integrate_flow(*args, dt=1e-3)   # d/dy0
+        launch_tangent(monkeypatch, 0.0, 1.0)
+        c1 = integrate_flow(*args, dt=1e-3)   # d/dxi0
+        det = c0.dy_dy0[-1] * c1.dxi_dy0[-1] - c1.dy_dy0[-1] * c0.dxi_dy0[-1]
         assert np.max(np.abs(det - 1.0)) <= 1e-12
 
     def test_box_exit_flagged(self):
@@ -103,9 +114,9 @@ class TestFlow:
         xi0 = np.linspace(-0.4, 0.4, 5)
         fl = integrate_flow(g, y0, xi0, 0.3, dt=1e-3, save_at=[0.3])
         Y, XI = mesh(y0, xi0)
-        y, xi = fl.evaluate(Y, XI, 0.3)
-        assert np.max(np.abs(y - fl.y_of[-1])) <= 1e-12
-        assert np.max(np.abs(xi - fl.xi_of[-1])) <= 1e-12
+        y, xi = fl.evaluate(Y, XI, 0.3)  # marches (y, xi) alone
+        assert np.array_equal(y, fl.y_of[-1])
+        assert np.array_equal(xi, fl.xi_of[-1])
 
     def test_negative_save_time_refused(self):
         # a snapshot labelled x1 = -0.1 used to hold the x1 = 0 state
@@ -192,28 +203,48 @@ def oracle_flow(parts, y_init, xi_init, x1_max, dt, save_at):
 
 
 class TestFlowOracle:
-    """integrate_flow (jet, seven flat state arrays) is bitwise the six-callable march."""
+    """integrate_flow (jet, one tangent column) is bitwise the full-matrix six-callable march."""
 
     y0 = np.linspace(-2.0, 2.0, 33)
     xi0 = np.linspace(-1.3, 1.3, 17)  # crosses the circle seam at |xi2| = 0.95
 
-    def check(self, graph, parts):
-        fl = integrate_flow(graph, self.y0, self.xi0, 0.3, dt=1e-3, save_at=[0.1, 0.3])
-        want = oracle_flow(parts, self.y0, self.xi0, 0.3, 1e-3, [0.1, 0.3])
-        assert fl.jac.shape == (3, 33, 17, 2, 2)
-        for got, ref in zip((fl.y_of, fl.xi_of, fl.jac, fl.action), want):
+    def flow(self, graph):
+        return integrate_flow(graph, self.y0, self.xi0, 0.3, dt=1e-3, save_at=[0.1, 0.3])
+
+    def check(self, graph, parts, monkeypatch):
+        want_y, want_xi, want_jac, want_action = oracle_flow(
+            parts, self.y0, self.xi0, 0.3, 1e-3, [0.1, 0.3])
+        fl = self.flow(graph)
+        assert fl.dy_dy0.shape == fl.dxi_dy0.shape == (3, 33, 17)
+        for got, ref in ((fl.y_of, want_y), (fl.xi_of, want_xi),
+                         (fl.dy_dy0, want_jac[..., 0, 0]), (fl.dxi_dy0, want_jac[..., 1, 0]),
+                         (fl.action, want_action)):
             assert np.array_equal(got, ref)
+        # launched with tangent (0, 1), the same march gives the second column
+        launch_tangent(monkeypatch, 0.0, 1.0)
+        fl = self.flow(graph)
+        assert np.array_equal(fl.dy_dy0, want_jac[..., 0, 1])
+        assert np.array_equal(fl.dxi_dy0, want_jac[..., 1, 1])
 
     @pytest.mark.parametrize("tilt", [0.5, 0.3])  # 0.3 is not dyadic: products round
-    def test_tilted_circle_bitwise(self, tilt):
-        self.check(graph_tilted_circle(tilt), tilted_circle_partials(tilt))
+    def test_tilted_circle_bitwise(self, tilt, monkeypatch):
+        self.check(graph_tilted_circle(tilt), tilted_circle_partials(tilt), monkeypatch)
 
     @pytest.mark.parametrize("graph", [
         graph_circle(), graph_shear(), graph_flat(), graph_parabola(0.5),
         graph_sum(graph_tilted_circle(0.1), graph_monomial(2, 1.0)),
     ], ids=lambda g: g.name)
-    def test_structural_zeros_skipped_bitwise(self, graph):
-        self.check(graph, jet_partials(graph))
+    def test_structural_zeros_skipped_bitwise(self, graph, monkeypatch):
+        self.check(graph, jet_partials(graph), monkeypatch)
+
+    def test_blocks_bitwise_equal_one_block(self, monkeypatch):
+        graph = graph_tilted_circle(0.5)
+        whole = self.flow(graph)  # 561 trajectories: one block
+        monkeypatch.setattr(propagator, "_BLOCK", 50)  # 11 blocks of 50 and one of 11
+        blocked = self.flow(graph)
+        for name in ("y_of", "xi_of", "dy_dy0", "dxi_dy0", "action", "x1_values"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+        assert blocked.energy_drift == whole.energy_drift
 
 
 class TestPhase:
@@ -348,9 +379,7 @@ class TestConjugation:
     def test_identity_at_zero_time(self):
         a_g = graph_tilted_circle(0.1)
         q_g = graph_sum(a_g, graph_monomial(1, 1.0))
-        fl = integrate_flow(a_g, np.linspace(-1, 1, 17), np.linspace(-0.4, 0.4, 9),
-                            0.1, dt=1e-3, save_at=[0.1])
-        _, q_t = conjugated_symbol(a_g, q_g, fl, 0.0)
+        _, q_t = conjugated_symbol(a_g, q_g, 0.0, 1e-3)
         t = np.linspace(-0.3, 0.3, 7)
         np.testing.assert_allclose(q_t.graph(x=(0.0, 0.2))(t),
                                    q_g.value(0.0, 0.2, t), atol=1e-12)
@@ -358,9 +387,7 @@ class TestConjugation:
     def test_constant_coefficient_conserved(self):
         a_g = graph_circle()
         q_g = graph_sum(a_g, graph_monomial(1, 1.0))
-        fl = integrate_flow(a_g, np.linspace(-1, 1, 17), np.linspace(-0.4, 0.4, 9),
-                            0.3, dt=1e-3, save_at=[0.3])
-        _, q_t = conjugated_symbol(a_g, q_g, fl, 0.3)
+        _, q_t = conjugated_symbol(a_g, q_g, 0.3, 1e-3)
         t = np.linspace(-0.3, 0.3, 7)
         # xi2 conserved for x-independent a: pullback equals the original graph
         np.testing.assert_allclose(q_t.graph(x=(0.3, 0.0))(t),
@@ -371,13 +398,39 @@ class TestConjugation:
         a_g = graph_tilted_circle(0.1)
         q_g = graph_sum(a_g, graph_monomial(k, 1.0))
         x1 = 0.1
-        fl = integrate_flow(a_g, np.linspace(-1.5, 1.5, 33), np.linspace(-0.5, 0.5, 17),
-                            x1, dt=1e-3, save_at=[x1])
-        a_t, q_t = conjugated_symbol(a_g, q_g, fl, x1)
-        xi0 = (float(a_t.graph(x=(x1, 0.0))(0.0)), 0.0)
+        a_t, q_t = conjugated_symbol(a_g, q_g, x1, 1e-3)
+        xi0 = (float(a_g.value(x1, 0.0, 0.0)), 0.0)
         rep = contact_order(a_t, q_t, xi0, max_order=k + 2, x=(x1, 0.0))
         assert rep.order == k
         assert not rep.inconclusive
+
+    @pytest.mark.parametrize("x1", [0.1, 0.3])
+    @pytest.mark.parametrize("x2, xi2", [(0.0, 0.0), (0.4, 0.3), (-0.7, -0.45)])
+    def test_base_point_label_is_conserved_energy(self, x1, x2, xi2):
+        # a is autonomous, so a(x1, x2, xi2) labels the flowed a~(x2, xi2);
+        # (0, 0) is the base point of the egorov stage
+        a_g = graph_tilted_circle(0.1)
+        a_t, _ = conjugated_symbol(a_g, graph_sum(a_g, graph_monomial(1, 1.0)), x1, 1e-3)
+        flowed = float(a_t.graph(x=(x1, x2))(xi2))
+        assert abs(flowed - float(a_g.value(x1, x2, xi2))) <= 1e-12
+
+    def test_step_rounded_as_integrate_flow(self):
+        a_g = graph_tilted_circle(0.1)
+        q_g = graph_sum(a_g, graph_monomial(1, 1.0))
+        x2, xi2 = np.linspace(-0.5, 0.5, 7), np.linspace(-0.3, 0.3, 7)
+        for x1, dt in ((0.3, 1e-3), (0.25, 0.007)):  # 0.25 / 0.007 is no whole number
+            fl = integrate_flow(a_g, x2, xi2, x1, dt=dt, save_at=[x1])
+            a_t, q_t = conjugated_symbol(a_g, q_g, x1, dt)
+            X2, XI2 = mesh(x2, xi2)
+            want = q_g.value(x1, fl.y_of[-1], fl.xi_of[-1])
+            assert np.array_equal(q_t.graph(x=(x1, X2))(XI2), want)
+
+    def test_bad_time_or_step_refused(self):
+        a_g = graph_tilted_circle(0.1)
+        for x1, dt in ((-0.1, 1e-3), (0.1, 0.0), (0.1, -1e-3), (0.1, float("nan")),
+                       (float("nan"), 1e-3)):
+            with pytest.raises(ValueError, match="x1 >= 0 and dt > 0"):
+                conjugated_symbol(a_g, a_g, x1, dt)
 
 
 def scalar_contact_oracle(g1, g2, xi0, max_order, tol=1e-8):
@@ -419,9 +472,7 @@ class TestBatchedContact:
     def pullbacks(self):
         a_g = graph_tilted_circle(0.1)
         q_g = graph_sum(a_g, graph_monomial(1, 1.0))
-        fl = integrate_flow(a_g, np.linspace(-1.5, 1.5, 33), np.linspace(-0.5, 0.5, 17),
-                            self.x1, dt=1e-3, save_at=[self.x1])
-        return conjugated_symbol(a_g, q_g, fl, self.x1)
+        return a_g, conjugated_symbol(a_g, q_g, self.x1, 1e-3)
 
     def test_one_flow_evaluation(self, pullbacks, monkeypatch):
         calls = []
@@ -432,17 +483,16 @@ class TestBatchedContact:
             return original(flow, y0, xi0, x1)
 
         monkeypatch.setattr(HamiltonianFlow, "evaluate", counting)
-        a_t, q_t = pullbacks
-        xi0 = (float(a_t.graph(x=(self.x1, 0.0))(0.0)), 0.0)
-        assert len(calls) == 1
+        a_g, (a_t, q_t) = pullbacks
+        xi0 = (float(a_g.value(self.x1, 0.0, 0.0)), 0.0)
         rep = contact_order(a_t, q_t, xi0, max_order=3, x=(self.x1, 0.0))
         assert rep.order == 1
-        assert len(calls) <= 2
+        assert calls == [self.x1]  # a~ and q~ on every stencil point: one flow
 
     def test_matches_pointwise_oracle(self, pullbacks):
-        a_t, q_t = pullbacks
+        a_g, (a_t, q_t) = pullbacks
         x = (self.x1, 0.0)
-        xi0 = (float(a_t.graph(x=x)(0.0)), 0.0)
+        xi0 = (float(a_g.value(self.x1, 0.0, 0.0)), 0.0)
         rep = contact_order(a_t, q_t, xi0, max_order=3, x=x)
         oracle = scalar_contact_oracle(a_t.graph(x=x), q_t.graph(x=x), xi0, 3)
         assert rep == oracle
