@@ -18,15 +18,20 @@ generator itself.  On a ``PhaseTable`` W is the oscillatory quadrature, which
 reproduces that multiplier to rounding (regression-tested), and W* is its
 exact discrete adjoint, so <W g, u> = <g, W* u> holds at quadrature level.
 
-A ``PhaseTable`` is tabulated by the method of characteristics: Hamiltonian
-trajectories (RK4, fixed step) carry the action and the tangent column
-(dy/dy0, dxi/dy0), and each saved x1 slice is interpolated back to the
-rectangular (y2, xi2) grid by a cubic spline in the launch point.  The march
-carries five flat arrays (y, xi, dy/dy0, dxi/dy0, the action), reads the
-generator's jet once per stage and runs over the launch mesh in blocks of
-``_BLOCK`` trajectories; ``HamiltonianFlow.evaluate`` marches (y, xi) alone.
-Caustics (|dy/dy0| < 0.1) shorten the usable horizon rather than being
-crossed.
+A ``PhaseTable`` is written in closed form along characteristics.  A catalog
+graph is affine in x2, a = c0(xi2) + x2 c1(xi2), and so are its
+characteristics in the launch point y0: xi' = -c1(xi), y = E y0 + F and the
+action S = G y0 + H, with b = xi c1' - c1 and
+
+    E' = c1' E,   F' = c0' + c1' F,   G' = E b,   H' = (xi c0' - c0) + F b.
+
+``integrate_flow`` marches (xi, E, F, G, H) by RK4 over the xi2 launch values
+alone, which is the march of the whole launch mesh up to rounding (an RK4
+step commutes with affine maps of the state).  The phase is
+phi(x1, y, xi0) = y xi(x1; xi0) + H - F xi(x1; xi0) at any output y, with
+half-density amplitude E^{-1/2} = |dy/dy0|^{-1/2}; caustics (E < 0.1) shorten
+the usable horizon.  ``HamiltonianFlow.evaluate`` marches (y, xi) of
+arbitrary points with the same RK4 stepper.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .grid import Field2D, GridSpec, isfft1d, sfft1d
 from .symbols import GraphBranch, GraphFn, SymbolSpec, custom_symbol
@@ -55,7 +59,6 @@ __all__ = [
 ]
 
 CAUSTIC_THRESHOLD = 0.1
-_BLOCK = 16384  # trajectories marched together, so that a block's state stays in cache
 
 
 class CausticError(RuntimeError):
@@ -63,49 +66,51 @@ class CausticError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian flow with one tangent column and the action
+# Hamiltonian flow: (y, xi) of single points, (xi, E, F, G, H) per xi2 column
 # ---------------------------------------------------------------------------
-
-def _lin(p, u, q, v):
-    """p u + q v, skipping the terms of structurally zero (None) coefficients."""
-    if p is None:
-        return None if q is None else q * v
-    return p * u if q is None else p * u + q * v
-
 
 def _neg(p):
     return None if p is None else -p
 
 
-def _flow_rhs(graph: GraphFn, t: float, y, xi, *tangent_action):
-    """Time derivatives of (y, xi) or (y, xi, dy, dxi, S); None where structurally zero."""
-    a, a_xi, a_y, a_yxi, a_xixi, a_yy = graph.jet(t, y, xi)
-    if not tangent_action:
-        return a_xi, _neg(a_y)
-    dy, dxi, _action = tangent_action
-    # tangent system d(dy, dxi)/dt = A (dy, dxi) with A = [[a_yxi, a_xixi], [-a_yy, -a_yxi]]
-    return (a_xi, _neg(a_y),
-            _lin(a_yxi, dy, a_xixi, dxi), _lin(_neg(a_yy), dy, _neg(a_yxi), dxi),
-            -a if a_xi is None else xi * a_xi - a)
+def _mul(p, u):
+    return None if p is None else p * u
 
 
-def _rk4_march(graph: GraphFn, state, t0: float, dt: float, steps: int):
-    """RK4 on the state (y, xi[, dy, dxi, S]); builds new arrays, never writes."""
+def _add(p, q):
+    """p + q, with None as a structural zero."""
+    return q if p is None else p if q is None else p + q
+
+
+def _point_rhs(graph: GraphFn, t: float, y, xi):
+    """Time derivatives (a_xi, -a_y) of (y, xi); None where structurally zero."""
+    _a, a_xi, a_y, _a_yxi = graph.jet(t, y, xi)
+    return a_xi, _neg(a_y)
+
+
+def _column_rhs(graph: GraphFn, t: float, xi, e, f, _g, _h):
+    """Time derivatives of the column state (xi, E, F, G, H) of an affine graph.
+
+    (c0, c0', c1, c1') is the jet (a, a_xi, a_y, a_yxi) at x2 = 0; a None
+    stays a structural zero, so xi and E of an x-independent graph are exact.
+    """
+    c0, c0p, c1, c1p = graph.jet(t, 0.0, xi)
+    b = _add(_mul(c1p, xi), _neg(c1))
+    return (_neg(c1), _mul(c1p, e), _add(c0p, _mul(c1p, f)), _mul(b, e),
+            _add(-c0 if c0p is None else xi * c0p - c0, _mul(b, f)))
+
+
+def _rk4_march(rhs, graph: GraphFn, state, t0: float, dt: float, steps: int):
+    """RK4 on a list of state arrays with derivatives rhs(graph, t, *state); never writes."""
     for s in range(steps):
         t = t0 + s * dt
-        k = [_flow_rhs(graph, t, *state)]
+        k = [rhs(graph, t, *state)]
         for h in (dt / 2, dt / 2, dt):
             stage = [x if d is None else x + h * d for x, d in zip(state, k[-1])]
-            k.append(_flow_rhs(graph, t + h, *stage))
+            k.append(rhs(graph, t + h, *stage))
         state = [x if d1 is None else x + dt / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
                  for x, d1, d2, d3, d4 in zip(state, *k)]
     return state
-
-
-def _initial_state(y, xi):
-    """(y, xi, tangent d/dy0 = (1, 0), S = 0) as five separate arrays."""
-    one, zero = np.ones_like, np.zeros_like
-    return [y, xi, one(y), zero(y), zero(y)]
 
 
 def _n_steps(x1_max: float, dt: float) -> int:
@@ -113,14 +118,20 @@ def _n_steps(x1_max: float, dt: float) -> int:
     return max(1, int(math.ceil((x1_max / dt) * (1.0 - 1e-12))))
 
 
+def _on_mesh(slope, shift, y):
+    """slope y + shift on the (y, xi2) mesh, from per-column (..., nxi) arrays."""
+    return slope[..., None, :] * y[:, None] + shift[..., None, :]
+
+
 @dataclass(frozen=True)
 class HamiltonianFlow:
-    """Trajectories of dy/dt = a_xi, dxi/dt = -a_y from a grid of initial data.
+    """Characteristics of dy/dt = a_xi, dxi/dt = -a_y launched from a (y0, xi0) mesh.
 
-    Snapshots at the saved x1 values carry positions, momenta, the tangent
-    column (dy/dy0, dxi/dy0), i.e. the image of d/dy0 under the flow, and
-    the accumulated action Int (xi a_xi - a) dt.  A flow made from its graph
-    and step alone has no snapshots and only evaluates.
+    Snapshots at the saved x1 values are kept per xi2 column, (n_save, nxi):
+    the momentum xi, which does not depend on y0, and the coefficients of the
+    positions y = E y0 + F (E = dy_dy0) and the action
+    S = Int (xi a_xi - a) dt = G y0 + H; ``y_of`` and ``action`` form those
+    on the mesh.  A flow made from its graph and step alone only evaluates.
     """
 
     graph: GraphFn
@@ -128,81 +139,92 @@ class HamiltonianFlow:
     y_init: np.ndarray | None = None
     xi_init: np.ndarray | None = None
     x1_values: np.ndarray | None = None
-    y_of: np.ndarray | None = None      # (n_save, ny, nxi)
-    xi_of: np.ndarray | None = None
-    dy_dy0: np.ndarray | None = None
-    dxi_dy0: np.ndarray | None = None
-    action: np.ndarray | None = None
+    xi_of: np.ndarray | None = None          # (n_save, nxi)
+    dy_dy0: np.ndarray | None = None         # E
+    y_shift: np.ndarray | None = None        # F
+    action_slope: np.ndarray | None = None   # G
+    action_shift: np.ndarray | None = None   # H
     box_half_width: float | None = None
     exited_box: np.ndarray | None = None
     energy_drift: float = 0.0
+
+    @property
+    def y_of(self) -> np.ndarray:  # E y0 + F, (n_save, ny, nxi)
+        return _on_mesh(self.dy_dy0, self.y_shift, self.y_init)
+
+    @property
+    def action(self) -> np.ndarray:  # G y0 + H, (n_save, ny, nxi)
+        return _on_mesh(self.action_slope, self.action_shift, self.y_init)
 
     def evaluate(self, y0, xi0, x1: float):
         """Flow arbitrary initial data to time x1 by re-integration of (y, xi) alone."""
         y0b, xi0b = np.broadcast_arrays(np.asarray(y0, dtype=float),
                                         np.asarray(xi0, dtype=float))
         steps = max(1, int(round(abs(x1) / self.dt)))
-        y, xi = _rk4_march(self.graph, [y0b, xi0b], 0.0, x1 / steps, steps)
-        return y, xi
+        return tuple(_rk4_march(_point_rhs, self.graph, [y0b, xi0b], 0.0, x1 / steps, steps))
 
 
 def integrate_flow(a_graph: GraphFn, y_init: np.ndarray, xi_init: np.ndarray,
                    x1_max: float, dt: float | None = None,
                    save_at: np.ndarray | None = None,
                    box_half_width: float | None = None) -> HamiltonianFlow:
-    """RK4 integration of the classical system over the initial-data mesh.
+    """RK4 integration of the characteristics launched from the (y_init, xi_init) mesh.
 
-    dt defaults to min(1e-3, x1_max/100) and is rounded so saved times land
-    exactly on steps.  The flattened mesh is marched in blocks of ``_BLOCK``
-    trajectories.  Trajectories that leave the box are flagged, not clipped;
-    the conservation of a along the flow (for autonomous a) is recorded as
-    energy_drift.
+    The graph needs a term list (a catalog graph, affine in x2); a hand-built
+    GraphFn is refused.  The march runs over the xi2 launch values alone (see
+    the module docstring).  dt defaults to min(1e-3, x1_max/100) and is
+    shortened so that x1_max is a whole number of steps; every save_at time
+    must lie on that step lattice.  Trajectories that leave the box are
+    flagged, not clipped; the conservation of a along the flow (for
+    autonomous a) is recorded as energy_drift.
     """
-    if x1_max <= 0:
-        raise ValueError("x1_max must be positive")
-    y_init = np.asarray(y_init, dtype=float)
-    xi_init = np.asarray(xi_init, dtype=float)
+    if a_graph.terms is None:
+        raise ValueError(f"integrate_flow needs a graph with a term list (affine in x2); "
+                         f"{a_graph.name!r} is hand-built")
+    if not (x1_max > 0 and math.isfinite(x1_max)):
+        raise ValueError(f"x1_max must be positive and finite, got {x1_max}")
     if dt is None:
         dt = min(1e-3, x1_max / 100.0)
+    elif not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    y_init, xi_init = np.asarray(y_init, dtype=float), np.asarray(xi_init, dtype=float)
     n_steps = _n_steps(x1_max, dt)
     dt = x1_max / n_steps
-    if save_at is None:
-        save_at = np.array([0.0, x1_max])
-    if np.any(np.asarray(save_at, dtype=float) < 0):
+    save_at = np.array([0.0, x1_max]) if save_at is None else np.asarray(save_at, dtype=float)
+    if np.any(save_at < 0):
         raise ValueError("save_at contains negative times; the flow starts at x1 = 0")
-    save_steps = sorted({int(round(t / dt)) for t in np.asarray(save_at, dtype=float)} | {0})
+    lattice = np.round(save_at / dt)
+    off = ~(np.abs(save_at - lattice * dt) <= 1e-9 * x1_max)
+    if off.any():
+        raise ValueError(f"save_at times {save_at[off]} are off the step lattice k * {dt:.6g}")
+    save_steps = sorted({int(s) for s in lattice} | {0})
     if save_steps[-1] > n_steps:
         raise ValueError("save_at contains times beyond x1_max")
 
-    mesh = (len(y_init), len(xi_init))
-    y = np.repeat(y_init, mesh[1])
-    xi = np.tile(xi_init, mesh[0])
-    out = np.empty((5, len(save_steps), y.size))  # y, xi, dy/dy0, dxi/dy0, S per snapshot
-    for lo in range(0, y.size, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        state, prev = _initial_state(y[block], xi[block]), 0
-        for i, s in enumerate(save_steps):
-            state = _rk4_march(a_graph, state, prev * dt, dt, s - prev)
-            prev = s
-            out[:, i, block] = state
-    y_of, xi_of, dy_dy0, dxi_dy0, action = out.reshape((5, len(save_steps)) + mesh)
+    state, prev = [xi_init, np.ones_like(xi_init)] + [np.zeros_like(xi_init)] * 3, 0
+    out = np.empty((5, len(save_steps), xi_init.size))  # xi, E, F, G, H per snapshot
+    for i, s in enumerate(save_steps):
+        state = _rk4_march(_column_rhs, a_graph, state, prev * dt, dt, s - prev)
+        prev = s
+        out[:, i] = state
+    xi_of, dy_dy0, y_shift, action_slope, action_shift = out
     times = np.asarray(save_steps) * dt
 
-    a0 = np.asarray(a_graph.value(0.0, y, xi), dtype=float)
-    a_end = np.asarray(a_graph.value(times[-1], out[0, -1], out[1, -1]), dtype=float)
-    drift = float(np.max(np.abs(a_end - a0)))
+    y_end = _on_mesh(dy_dy0[-1], y_shift[-1], y_init)
+    drift = float(np.max(np.abs(a_graph.value(times[-1], y_end, xi_of[-1])
+                                - a_graph.value(0.0, y_init[:, None], xi_init))))
     exited = None
     if box_half_width is not None:
-        exited = np.abs(y_of[-1]) > box_half_width
+        exited = np.abs(y_end) > box_half_width
         if exited.any():
             warnings.warn(
                 f"{int(exited.sum())} trajectories left the box [-{box_half_width}, "
                 f"{box_half_width}] by x1 = {times[-1]:.3g}", stacklevel=2)
     return HamiltonianFlow(
-        graph=a_graph, dt=dt, y_init=y_init, xi_init=xi_init,
-        x1_values=times, y_of=y_of, xi_of=xi_of, dy_dy0=dy_dy0, dxi_dy0=dxi_dy0,
-        action=action, box_half_width=box_half_width,
-        exited_box=exited, energy_drift=drift,
+        graph=a_graph, dt=dt, y_init=y_init, xi_init=xi_init, x1_values=times,
+        xi_of=xi_of, dy_dy0=dy_dy0, y_shift=y_shift,
+        action_slope=action_slope, action_shift=action_shift,
+        box_half_width=box_half_width, exited_box=exited, energy_drift=drift,
     )
 
 
@@ -212,7 +234,7 @@ def integrate_flow(a_graph: GraphFn, y_init: np.ndarray, xi_init: np.ndarray,
 
 @dataclass(frozen=True)
 class PhaseTable:
-    """Eikonal phase phi(x1, y, xi) and leading amplitude tabulated along characteristics.
+    """Eikonal phase phi(x1, y, xi) and leading amplitude on a rectangular (y, xi) grid.
 
     Slices sit at the saved x1 values of a flow, up to the caustic-safe
     horizon x1_max; a flow starts at x1 = 0, so there are none at x1 < 0.
@@ -227,7 +249,6 @@ class PhaseTable:
     amp: np.ndarray | None = None   # half-density correction, None means b = 1
     x1_max: float = math.inf
     caustic_limited: bool = False
-    coverage_gaps: int = 0
 
     def slice_index(self, x1: float) -> int:
         i = int(np.argmin(np.abs(self.x1_values - x1)))
@@ -249,56 +270,33 @@ class PhaseTable:
 def build_phase(flow: HamiltonianFlow, grid: GridSpec,
                 transport_correction: bool = False,
                 y_out: np.ndarray | None = None) -> PhaseTable:
-    """Assemble phi on the rectangular (y, xi) grid from characteristics.
+    """Write phi on the output (y, xi) grid in closed form from a flow's column state.
 
-    phi(x1, y(t; y0, xi), xi) = y0 xi + action(t; y0, xi); each slice is
-    pulled back from the launch points to the output y grid (default: the
-    launch grid itself) by a cubic spline.  A slice whose Jacobian dy/dy0
-    dips below the caustic threshold truncates the horizon (reported, never
-    crossed).  b = 1 unless the half-density correction |dy/dy0|^{-1/2} is
-    requested.
+    Along a characteristic phi = y0 xi0 + S, with y = E y0 + F, S = G y0 + H
+    and (xi0 + G) / E the flowed momentum xi(x1; xi0), so
+    phi(x1, y, xi0) = y xi(x1; xi0) + H - F xi(x1; xi0) at every output y
+    (default: the launch grid), with no interpolation.  A slice whose
+    Jacobian E = dy/dy0 dips below the caustic threshold truncates the
+    horizon (reported, never crossed).  b = 1 unless the half-density
+    correction E^{-1/2} is requested.
     """
     y_grid = flow.y_init if y_out is None else np.asarray(y_out, dtype=float)
-    xi_grid = flow.xi_init
-    launch = flow.y_init
-    n_save = len(flow.x1_values)
-    phi = np.empty((n_save, len(y_grid), len(xi_grid)))
-    amp = np.empty_like(phi) if transport_correction else None
-    horizon = flow.x1_values[-1]
-    caustic_limited = False
-    gaps = 0
-    usable = n_save
-    for s in range(n_save):
-        dy_dy0 = flow.dy_dy0[s]
-        if np.min(dy_dy0) < CAUSTIC_THRESHOLD:
-            horizon = flow.x1_values[s - 1] if s > 0 else 0.0
-            caustic_limited = True
-            usable = s
-            warnings.warn(
-                f"caustic (|dy/dy0| < {CAUSTIC_THRESHOLD}) at x1 = "
-                f"{flow.x1_values[s]:.4g}; horizon shortened to {horizon:.4g}",
-                stacklevel=2)
-            break
-        for m, xiv in enumerate(xi_grid):
-            y_t = flow.y_of[s][:, m]
-            if np.any(np.diff(y_t) <= 0):
-                raise CausticError("trajectory fan folded despite Jacobian check")
-            phi_traj = launch * xiv + flow.action[s][:, m]
-            spline = CubicSpline(y_t, phi_traj)
-            phi[s, :, m] = spline(y_grid)
-            gaps += int(np.count_nonzero((y_grid < y_t[0]) | (y_grid > y_t[-1])))
-            if transport_correction:
-                amp[s, :, m] = np.interp(y_grid, y_t, dy_dy0[:, m]) ** -0.5
-    if flow.x1_values[0] == 0.0:
-        phi[0] = y_grid[:, None] * xi_grid[None, :]  # exact initial condition
-        if transport_correction:
-            amp[0] = 1.0
+    caustic = np.min(flow.dy_dy0, axis=1) < CAUSTIC_THRESHOLD
+    usable = int(np.argmax(caustic)) if caustic.any() else len(flow.x1_values)
+    horizon = flow.x1_values[usable - 1] if usable > 0 else 0.0
+    if caustic.any():
+        warnings.warn(
+            f"caustic (|dy/dy0| < {CAUSTIC_THRESHOLD}) at x1 = "
+            f"{flow.x1_values[usable]:.4g}; horizon shortened to {horizon:.4g}",
+            stacklevel=2)
+    xi = flow.xi_of[:usable]
+    phi = _on_mesh(xi, flow.action_shift[:usable] - flow.y_shift[:usable] * xi, y_grid)
+    amp = (np.broadcast_to(flow.dy_dy0[:usable, None, :] ** -0.5, phi.shape)
+           if transport_correction else None)
     return PhaseTable(
-        graph=flow.graph, h=grid.h, y_grid=y_grid, xi_grid=xi_grid,
-        x1_values=flow.x1_values[:usable],
-        phi=phi[:usable], amp=None if amp is None else amp[:usable],
-        x1_max=float(horizon), caustic_limited=caustic_limited,
-        coverage_gaps=gaps,
+        graph=flow.graph, h=grid.h, y_grid=y_grid, xi_grid=flow.xi_init,
+        x1_values=flow.x1_values[:usable], phi=phi, amp=amp,
+        x1_max=float(horizon), caustic_limited=bool(caustic.any()),
     )
 
 

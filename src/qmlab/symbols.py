@@ -2,8 +2,8 @@
 
 A symbol is evaluated on grids via broadcastable callables.  A catalog graph
 xi1 = a(x, xi2) is one term list of (j, c, m) = x2^j * c * xi2^m, m = None for
-the seam-continued circle; its jet (a and the five first and second partials
-the Hamiltonian flow needs, None where structurally zero), its closed-form
+the seam-continued circle; its jet (a and the three partials the Hamiltonian
+flow needs, None where structurally zero), its closed-form
 xi2-derivatives (contact order is read off exactly) and graph sums all derive
 from that list.  When a closed form is not available (Newton branches, flow
 pullbacks) the detection falls back to centered finite differences with
@@ -120,16 +120,16 @@ _CIRCLE_MAX_ORDER = 4
 class GraphFn:
     """Graph a(x1, x2, xi2) of a characteristic branch xi1 = a.
 
-    ``jet(x1, x2, xi2)`` returns (a, a_xi2, a_x2, a_x2xi2, a_xi2xi2, a_x2x2),
-    each broadcastable against the arguments, with None for a partial that
-    is structurally zero.  ``xi2_derivative(x1, x2, xi2, order)`` returns the
+    ``jet(x1, x2, xi2)`` returns (a, a_xi2, a_x2, a_x2xi2), each
+    broadcastable against the arguments, with None for a partial that is
+    structurally zero.  ``xi2_derivative(x1, x2, xi2, order)`` returns the
     closed-form derivative or None when only finite differences are possible
     at that order.  ``terms`` is the term list a catalog graph is built from
     (see :func:`_graph`), None for a hand-built graph.
     """
 
     name: str
-    jet: Callable  # (x1, x2, xi2) -> (a, a_xi, a_y, a_yxi, a_xixi, a_yy)
+    jet: Callable  # (x1, x2, xi2) -> (a, a_xi, a_y, a_yxi)
     x_dependent: bool
     xi2_derivative: Callable  # (x1, x2, xi2, order) -> value or None
     terms: tuple | None = None
@@ -141,8 +141,8 @@ class GraphFn:
     __call__ = value
 
 
-# jet entries of the xi2-orders 0, 1, 2 of a term and of their x2-derivatives
-_XI2_ENTRIES = ((0, 2), (1, 3), (4, None))
+# jet entries of the xi2-orders 0, 1 of a term and of their x2-derivatives
+_XI2_ENTRIES = ((0, 2), (1, 3))
 
 
 def _power(k, x2, t, e):
@@ -160,8 +160,8 @@ def _graph(name: str, *terms) -> GraphFn:
     over the terms left to right with None as a structural zero, and each
     product is added as soon as it is made, so few products are alive at once.
     """
-    # per term and xi2-order r <= 2: (entry, entry of the x2-derivative or None,
-    # c*perm(m, r), m - r, j); None stands for the circle's (a, a_xi, a_xixi)
+    # per term and xi2-order r <= 1: (entry, entry of the x2-derivative or None,
+    # c*perm(m, r), m - r, j); None stands for the circle's (a, a_xi)
     rows = []
     for j, c, m in terms:
         if m is None:
@@ -174,10 +174,10 @@ def _graph(name: str, *terms) -> GraphFn:
         # _power inlined, t**e shared by a product and its x2-derivative: the
         # flow calls this thousands of times on a few points
         t = np.asarray(xi2, dtype=float)
-        out = [None] * 6
+        out = [None] * 4
         for row in rows:
             if row is None:
-                for i, p in zip((0, 1, 4), _circle_jet(t)):
+                for i, p in enumerate(_circle_jet(t)[:2]):
                     out[i] = p if out[i] is None else out[i] + p
                 continue
             i, i_x2, k, e, j = row
