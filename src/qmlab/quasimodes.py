@@ -11,7 +11,8 @@ normalize u^ and synthesize the field from it on the first read of its
 samples.  For x-independent symbols p(hD) is the exact multiplier p(xi),
 so by discrete Plancherel the defect is ||m u^|| / ||u^||, with
 m = p2^M2 p1^M1 evaluated only on the nonzero support of u^.  Fields without
-a spectrum, and x-dependent symbols, go through ``apply_left_quantization``.
+a spectrum, and x-dependent catalog graph symbols (separated multipliers),
+go through ``apply_left_quantization``; other x-dependent symbols are refused.
 
 Grids are chosen per h so the lattice covers the unit circle with ~25%
 margin while the annulus of width 2h keeps at least two radial lattice
@@ -176,13 +177,15 @@ class DefectReport:
             raise ValueError(f"defect must be finite and >= 0, got {self.defect}")
 
 
-def _defect_report(label: str, powers: tuple[int, int], factors, u: Field2D,
-                   force: bool) -> DefectReport:
+def _defect_report(label: str, powers: tuple[int, int], factors, u: Field2D) -> DefectReport:
     """||p_last^M_last ... p_first^M_first u|| / ||u|| for factors [(p, M), ...].
 
     When u carries its spectrum and no factor depends on x, the product of
     multipliers is evaluated on the spectrum's nonzero support only
-    (discrete Plancherel); otherwise each power is applied in x space.
+    (discrete Plancherel); otherwise each power is applied in x space by
+    :func:`apply_left_quantization`, which quantizes an x-dependent catalog
+    graph symbol as separated multipliers and refuses any other x-dependent
+    symbol.
     """
     spec = u.spectrum
     if spec is not None and not any(sym.x_dependent for sym, _ in factors):
@@ -203,26 +206,25 @@ def _defect_report(label: str, powers: tuple[int, int], factors, u: Field2D,
         v = u
         for sym, power in factors:
             for _ in range(power):
-                v = apply_left_quantization(sym, v, force=force)
+                v = apply_left_quantization(sym, v)
         d = v.l2_norm() / base
     h = u.grid.h
     return DefectReport(label, powers, d, h, d / h ** sum(powers))
 
 
-def defect(op_sym: SymbolSpec, u: Field2D, M: int = 1, force: bool = False) -> DefectReport:
+def defect(op_sym: SymbolSpec, u: Field2D, M: int = 1) -> DefectReport:
     """Quasimode defect after M applications of p(x, hD)."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    return _defect_report(op_sym.label, (M, 0), [(op_sym, M)], u, force)
+    return _defect_report(op_sym.label, (M, 0), [(op_sym, M)], u)
 
 
-def joint_defect(p1: SymbolSpec, p2: SymbolSpec, u: Field2D, M1: int, M2: int,
-                 force: bool = False) -> DefectReport:
+def joint_defect(p1: SymbolSpec, p2: SymbolSpec, u: Field2D, M1: int, M2: int) -> DefectReport:
     """Defect of the composition p1^M1 o p2^M2 applied to u."""
     if M1 < 0 or M2 < 0:
         raise ValueError("powers must be >= 0")
     return _defect_report(f"{p1.label}^{M1} {p2.label}^{M2}", (M1, M2),
-                          [(p2, M2), (p1, M1)], u, force)
+                          [(p2, M2), (p1, M1)], u)
 
 
 def localization_check(u: Field2D, radius: float, side: str = "both") -> float:

@@ -10,13 +10,12 @@ pullbacks) the detection falls back to centered finite differences with
 Richardson extrapolation; every stencil point is evaluated in one batched
 call per graph.
 
-Left quantization p(x, hD) acts as a spectral multiplier for x-independent
-symbols and as the direct oscillatory quadrature
-
-    (2 pi h)^{-1} sum_xi e^{i<x,xi>/h} p(x, xi) FT[u](xi) dxi^2
-
-for x-dependent ones (O(N^4), guarded to N <= 128 unless forced).  The two
-paths agree exactly when p does not depend on x.
+Left quantization p(x, hD) applies p(0, xi) as a spectral multiplier.  A
+catalog graph symbol xi1 - c0(xi2) - x2 c1(xi2) is affine in x2, and the left
+quantization of x2 c1(xi2) is x2 c1(hD_x2), so its x-dependent part is the
+multiplier c1 along x2 followed by multiplication with x2: two FFT
+multipliers, exact to rounding at every N.  Any other x-dependent symbol
+(hand-built graphs, custom callables, flow pullbacks) is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Field2D, SpectralField2D, semiclassical_fft, semiclassical_ifft
+from .grid import Field2D, SpectralField2D, isfft1d, semiclassical_fft, semiclassical_ifft, sfft1d
 
 __all__ = [
     "GraphFn",
@@ -43,7 +42,6 @@ __all__ = [
     "SymbolSpec",
     "ContactReport",
     "ContactError",
-    "CostGuardError",
     "circle_minus_one",
     "contact_perturbed_circle",
     "flat_contact",
@@ -62,10 +60,6 @@ CIRCLE_SEAM = 0.95  # |xi2| beyond which sqrt(1 - xi2^2) is Taylor-continued
 
 class ContactError(ValueError):
     """Curves do not intersect where a contact order was requested."""
-
-
-class CostGuardError(RuntimeError):
-    """Refused O(N^4) quantization; pass force=True to override."""
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +328,9 @@ class SymbolSpec:
 
     value takes broadcastable (x1, x2, xi1, xi2).
     ``graph`` returns the branch of {p = 0} through a requested point.
+    ``graph_fn`` is the graph a of a graph symbol xi1 - a(x, xi2), None
+    otherwise; an x-dependent symbol is quantized only through the term list
+    of that graph (see :func:`apply_left_quantization`).
     """
 
     family: str
@@ -342,6 +339,7 @@ class SymbolSpec:
     x_dependent: bool = False
     value: Callable = None
     _graph: Callable = None  # (x, xi0) -> GraphBranch
+    graph_fn: GraphFn | None = None
 
     def graph(self, x=(0.0, 0.0), xi0=None) -> GraphBranch:
         if self._graph is None:
@@ -402,6 +400,7 @@ def graph_symbol(graph_fn: GraphFn) -> SymbolSpec:
             lambda t, r: graph_fn.xi2_derivative(x[0], x[1], t, r),
             label=f"graph[{graph_fn.name}]",
         ),
+        graph_fn=graph_fn,
     )
 
 
@@ -555,42 +554,25 @@ def contact_order(a_sym: SymbolSpec, q_sym: SymbolSpec, xi0, max_order: int,
 # left quantization
 # ---------------------------------------------------------------------------
 
-QUANTIZATION_N_GUARD = 128
-_X2_CHUNK = 16
-
-
-def apply_left_quantization(sym: SymbolSpec, u: Field2D, force: bool = False) -> Field2D:
+def apply_left_quantization(sym: SymbolSpec, u: Field2D) -> Field2D:
     """Apply p(x, hD) to a field.
 
-    x-independent symbols act as spectral multipliers.  x-dependent symbols
-    use the direct O(N^4) quadrature and are refused for N > 128 unless
-    ``force`` is set.
+    p(0, xi) acts as a spectral multiplier.  For an x-dependent catalog graph
+    symbol xi1 - c0(xi2) - x2 c1(xi2), x2 c1(hD_x2) u is subtracted, with
+    c1 = a_x2 read off the graph's jet and applied along x2.  Any other
+    x-dependent symbol raises ValueError.
     """
+    graph = sym.graph_fn
+    if sym.x_dependent and (graph is None or graph.terms is None):
+        raise ValueError(f"symbol {sym.label!r} depends on x but has no catalog graph; "
+                         "only graph symbols xi1 - a(x2, xi2) of a term list are quantized")
     g = u.grid
     spec = semiclassical_fft(u)
+    xi1, xi2 = g.xi_mesh()
+    mult = np.asarray(sym.value(0.0, 0.0, xi1, xi2), dtype=np.complex128)
+    out = semiclassical_ifft(SpectralField2D(g, spec.values * mult))
     if not sym.x_dependent:
-        xi1, xi2 = g.xi_mesh()
-        mult = np.asarray(sym.value(0.0, 0.0, xi1, xi2), dtype=np.complex128)
-        return semiclassical_ifft(SpectralField2D(g, spec.values * mult))
-    if g.points_per_axis > QUANTIZATION_N_GUARD and not force:
-        raise CostGuardError(
-            f"x-dependent quantization at N = {g.points_per_axis} exceeds the "
-            f"N <= {QUANTIZATION_N_GUARD} cost guard (force=True to override)"
-        )
-    n = g.points_per_axis
-    x = g.x_coords
-    xi = g.xi_coords
-    E = np.exp(1j * np.outer(x, xi) / g.h)  # shared by both axes
-    scale = g.dxi ** 2 / (2.0 * np.pi * g.h)
-    out = np.empty((n, n), dtype=np.complex128)
-    for i1 in range(n):
-        w = (E[i1, :, None] * spec.values) * scale  # (n_xi1, n_xi2)
-        for j0 in range(0, n, _X2_CHUNK):
-            j1 = min(j0 + _X2_CHUNK, n)
-            p_block = np.asarray(
-                sym.value(x[i1], x[j0:j1][:, None, None],
-                          xi[None, :, None], xi[None, None, :]),
-                dtype=np.complex128,
-            )
-            out[i1, j0:j1] = np.einsum("xmn,mn,xn->x", p_block, w, E[j0:j1])
-    return Field2D(g, out)
+        return out
+    c1 = graph.jet(0.0, 0.0, g.xi_coords)[2]
+    c1u = isfft1d(c1 * sfft1d(u.values, g, axis=1), g, axis=1)
+    return Field2D(g, out.values - g.x_coords * c1u)

@@ -18,9 +18,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-warnings.filterwarnings("ignore", message=".*frequency spacing.*")
-warnings.filterwarnings("ignore", message=".*frequency lattice.*")
-
 from qmlab import estimates, wavelets
 from qmlab.cli import load_shipped_config, shipped_config_names
 from qmlab.config import parse_config, run as run_config

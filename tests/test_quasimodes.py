@@ -33,11 +33,12 @@ from qmlab.quasimodes import (
 )
 from qmlab import quasimodes
 from qmlab.symbols import (
+    apply_left_quantization,
     circle_minus_one,
     contact_perturbed_circle,
-    custom_symbol,
     graph_circle,
     graph_symbol,
+    graph_tilted_circle,
     multiplier_symbol,
     xi1_symbol,
     xi2_power_symbol,
@@ -192,6 +193,22 @@ class TestDefects:
             rhs = sum(math.comb(M, m) * joint_defect(p1, p2, u, m, M - m).defect
                       for m in range(M + 1))
             assert lhs <= rhs * (1 + 1e-12)
+
+    def test_tilted_joint_defect_on_t_alpha(self):
+        # Op(xi1 - sqrt(1 - xi2^2) - 0.1 x2 xi2^2) after |hD|^2 - 1 at N = 512: the
+        # circle multiplier minus 0.1 x2 (hD_x2)^2 by plain FFT differentiation
+        h = 2.0 ** -7
+        u, g = build(h, 0.5)
+        assert g.points_per_axis == 512
+        rep = joint_defect(graph_symbol(graph_tilted_circle(0.1)), circle_minus_one(), u, 1, 1)
+        kf = 2 * np.pi * np.fft.fftfreq(g.points_per_axis, d=g.dx)
+        v = apply_left_quantization(circle_minus_one(), u)
+        hd2sq = g.h ** 2 * np.fft.ifft(kf[None, :] ** 2 * np.fft.fft(v.values, axis=1), axis=1)
+        _, x2 = g.x_mesh()
+        w = apply_left_quantization(graph_symbol(graph_circle()), v).values - 0.1 * x2 * hd2sq
+        expected = np.sqrt(np.sum(np.abs(w) ** 2)) * g.dx / u.l2_norm()
+        assert rep.defect == pytest.approx(expected, rel=1e-10)
+        assert rep.ratio_to_power <= 2.0
 
     @pytest.mark.parametrize("k,p", [(1, 4.0), (1, 6.0)])
     def test_lower_bound_slope_low_p(self, k, p):
@@ -356,17 +373,16 @@ class TestSpectralSupport:
         calls = []
         real = quasimodes.apply_left_quantization
 
-        def counting(sym, v, force=False):
+        def counting(sym, v):
             calls.append(sym.label)
-            return real(sym, v, force=force)
+            return real(sym, v)
 
         monkeypatch.setattr(quasimodes, "apply_left_quantization", counting)
         u = build_flat_quasimode(GridSpec(4.0, 32, 0.25), 1)
-        bent = custom_symbol(lambda x1, x2, xi1, xi2: xi1 - 0.1 * x2 * xi2 ** 2,
-                             label="bent", x_dependent=True)
-        joint_defect(bent, xi1_symbol(), u, 1, 1)
-        defect(bent, u, 2)
-        assert calls == ["xi1", "bent", "bent", "bent"]
+        tilted = graph_symbol(graph_tilted_circle(0.1))
+        joint_defect(tilted, xi1_symbol(), u, 1, 1)
+        defect(tilted, u, 2)
+        assert calls == ["xi1"] + [tilted.label] * 3
         calls.clear()
         joint_defect(xi1_symbol(), xi2_power_symbol(2), u, 1, 1)
         assert calls == []

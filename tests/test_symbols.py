@@ -1,17 +1,19 @@
 """Symbol families, contact detection and quantization contracts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from oracles import dense_left_quantization
 from qmlab.grid import Field2D, GridSpec, random_field, semiclassical_fft
-from qmlab.quasimodes import plane_wave
+from qmlab.propagator import conjugated_symbol
+from qmlab.quasimodes import defect, joint_defect, plane_wave
 from qmlab.symbols import (
     CIRCLE_SEAM,
     ContactError,
     GraphFn,
-    CostGuardError,
     _circle_jet,
     _circle_sqrt,
     apply_left_quantization,
@@ -178,14 +180,13 @@ class TestQuantization:
         np.testing.assert_allclose(out.values, xi[40] * u.values, atol=1e-12)
 
     def test_position_multiplication(self):
+        # Op_h(xi1 - x2 xi2) of a lattice plane wave multiplies it by xi1 - x2 xi2
         g = GridSpec(8.0, 64, 0.125)
-        u = plane_wave(g, (g.xi_coords[40], g.xi_coords[20]))
-        px1 = custom_symbol(
-            lambda x1, x2, xi1, xi2: np.asarray(x1) + 0.0 * (np.asarray(x2) + np.asarray(xi1) + np.asarray(xi2)),
-            label="x1", x_dependent=True)
-        out = apply_left_quantization(px1, u)
-        x1, _ = g.x_mesh()
-        np.testing.assert_allclose(out.values, x1 * u.values, atol=1e-11)
+        xi = g.xi_coords
+        u = plane_wave(g, (xi[40], xi[20]))
+        out = apply_left_quantization(graph_symbol(graph_shear()), u)
+        _, x2 = g.x_mesh()
+        np.testing.assert_allclose(out.values, (xi[40] - x2 * xi[20]) * u.values, atol=1e-11)
 
     def test_circle_symbol_matches_spectral_laplacian(self):
         g = GridSpec(8.0, 128, 0.0625)
@@ -235,37 +236,72 @@ class TestQuantization:
         assert err <= 1e-10
 
     def test_x_dependent_against_dense_oracle(self):
+        # the vectorized test oracle and the library against the plain quadruple loop
         g = GridSpec(2.0, 16, 0.5)
         u = random_field(g, 8)
-        sym = custom_symbol(
-            lambda x1, x2, xi1, xi2: np.asarray(x1) * np.asarray(xi2) + np.asarray(xi1) ** 2
-            + 0.0 * np.asarray(x2),
-            label="mixed", x_dependent=True)
-        out = apply_left_quantization(sym, u)
-        # dense loop oracle
+        sym = graph_symbol(graph_tilted_circle(0.3))
         spec = semiclassical_fft(u).values
         x = g.x_coords
         xi = g.xi_coords
+        p = np.broadcast_to(sym.value(x[:, None, None, None], x[None, :, None, None],
+                                      xi[None, None, :, None], xi[None, None, None, :]), (16,) * 4)
         oracle = np.zeros_like(u.values)
         for i1 in range(16):
             for i2 in range(16):
                 acc = 0.0
                 for m1 in range(16):
                     for m2 in range(16):
-                        pval = x[i1] * xi[m2] + xi[m1] ** 2
                         acc += (np.exp(1j * (x[i1] * xi[m1] + x[i2] * xi[m2]) / g.h)
-                                * pval * spec[m1, m2])
+                                * p[i1, i2, m1, m2] * spec[m1, m2])
                 oracle[i1, i2] = acc * g.dxi ** 2 / (2 * np.pi * g.h)
-        np.testing.assert_allclose(out.values, oracle, atol=1e-10)
+        np.testing.assert_allclose(dense_left_quantization(sym, u).values, oracle, atol=1e-10)
+        np.testing.assert_allclose(apply_left_quantization(sym, u).values, oracle, atol=1e-10)
 
-    def test_cost_guard(self):
-        g = GridSpec(4.0, 192, 0.125)
-        u = random_field(g, 2)
-        sym = custom_symbol(
-            lambda x1, x2, xi1, xi2: np.asarray(x1) + 0.0 * (np.asarray(x2) + np.asarray(xi1) + np.asarray(xi2)),
-            label="x1", x_dependent=True)
-        with pytest.raises(CostGuardError):
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("graph", [
+        graph_shear(), graph_tilted_circle(0.1), graph_tilted_circle(0.5),
+        graph_sum(graph_tilted_circle(0.3), graph_monomial(2, 1.0)),
+    ], ids=["shear", "tilted_0.1", "tilted_0.5", "tilted_0.3+monomial"])
+    def test_separated_matches_dense_oracle(self, graph, n):
+        g = GridSpec(4.0, n, 0.25)
+        u = random_field(g, n + 1)
+        sym = graph_symbol(graph)
+        oracle = dense_left_quantization(sym, u).values
+        err = np.max(np.abs(apply_left_quantization(sym, u).values - oracle))
+        assert err <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_zero_tilt_is_the_circle_bitwise(self):
+        # x-dependent with c1 = 0: the separated term vanishes exactly
+        g = GridSpec(4.0, 64, 0.125)
+        u = random_field(g, 4)
+        tilted = graph_symbol(graph_tilted_circle(0.0))
+        assert tilted.x_dependent
+        out = apply_left_quantization(tilted, u).values
+        assert np.array_equal(out, apply_left_quantization(graph_symbol(graph_circle()), u).values)
+
+    @pytest.mark.parametrize("kind", ["custom", "pullback", "hand_built"])
+    def test_x_dependent_symbol_refused(self, kind):
+        if kind == "custom":
+            sym = custom_symbol(lambda x1, x2, xi1, xi2: xi1 - 0.1 * x2 * xi2 ** 2,
+                                label="bent", x_dependent=True)
+        elif kind == "pullback":
+            sym = conjugated_symbol(graph_tilted_circle(0.1), graph_circle(), 0.1, 1e-2)[0]
+        else:
+            def jet(x1, x2, xi2):
+                x2, xi2 = np.asarray(x2), np.asarray(xi2)
+                return (x2 ** 2 + xi2 ** 2) / 2.0, xi2, x2, None
+
+            sym = graph_symbol(GraphFn(name="oscillator", jet=jet, x_dependent=True,
+                                       xi2_derivative=lambda x1, x2, xi2, order: None))
+        g = GridSpec(4.0, 32, 0.25)
+        u = random_field(g, 6)
+        match = re.escape(repr(sym.label))
+        with pytest.raises(ValueError, match=match):
             apply_left_quantization(sym, u)
+        with pytest.raises(ValueError, match=match):
+            defect(sym, u)
+        with pytest.raises(ValueError, match=match):
+            joint_defect(sym, xi1_symbol(), u, 1, 1)
 
     def test_xi2_power_symbol(self):
         g = GridSpec(4.0, 32, 0.25)
