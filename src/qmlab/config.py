@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimates, quasimodes, symbols, wavelets
-from .grid import GridSpec, lp_norm
+from .grid import GridSpec, lp_norms
 from .propagator import conjugated_symbol, quasimode_pushforward
 from .symbols import contact_order, graph_catalog
 
@@ -396,8 +396,9 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
         elif stage.kind == "propagate":
             fld = quasimode_pushforward(parse_graph_expr(str(p.get("graph", "circle"))), fld)
         elif stage.kind == "norms":
-            for pv in _as_list(p.get("p", [2.0])):
-                rows[("lp_norm", pv, None, None, alpha)] = lp_norm(fld, pv)
+            pvs = _as_list(p.get("p", [2.0]))
+            for pv, val in zip(pvs, lp_norms(fld, pvs)):
+                rows[("lp_norm", pv, None, None, alpha)] = val
         elif stage.kind == "defect":
             p1 = parse_symbol_expr(str(p["symbol"]))
             p2 = parse_symbol_expr(str(p["symbol2"])) if "symbol2" in p else None

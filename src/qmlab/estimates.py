@@ -36,7 +36,6 @@ __all__ = [
     "delta_p_k",
     "sogge_delta",
     "mu_p_j",
-    "t_alpha_lower_exponent",
     "fit_power_law",
     "run_sweep",
     "SweepRow",
@@ -109,22 +108,6 @@ def mu_p_j(p, j: int):
     if ip <= Fraction(1, 6):
         return j * (_half(ip) - 3 * ip)
     return Fraction(0) if isinstance(ip, Fraction) else 0.0
-
-
-def t_alpha_lower_exponent(p, k: int):
-    """Growth exponent of the saturating example for p >= 6.
-
-    Algebraically identical to delta_p_k on that range: the example shows the
-    upper bound is sharp.
-    """
-    ip = _inverse_p(p)
-    if not ip <= Fraction(1, 6):
-        raise ValueError(f"the lower-bound exponent needs p >= 6, got {p}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    half = _half(ip)
-    frac_k = Fraction(1, k + 1) if isinstance(ip, Fraction) else 1.0 / (k + 1)
-    return half - 2 * ip - frac_k * (half - 3 * ip)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ __all__ = [
     "localization_check",
     "build_flat_quasimode",
     "build_graph_adapted_quasimode",
-    "plane_wave",
 ]
 
 
@@ -128,13 +127,16 @@ def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec) -> SpectralField2D:
     box = tuple(box)
     xi1, xi2 = np.meshgrid(xi[box[0]], xi[box[1]], indexing="ij")
     rr = np.hypot(xi1, xi2)
+    # both edge modes are exactly 0 off the ring |r - 1| < h, whatever the angle
+    ring = np.abs(rr - 1.0) < h
     theta0 = math.atan2(spec.omega0[1], spec.omega0[0])
-    ang = np.abs(np.angle(np.exp(1j * (np.arctan2(xi2, xi1) - theta0))))
+    ang = np.full(rr.shape, np.inf)
+    ang[ring] = np.abs(np.angle(np.exp(1j * (np.arctan2(xi2[ring], xi1[ring]) - theta0))))
     if spec.smoothed_edges:
         w = h / 8.0
         inside = smoothstep((h - np.abs(rr - 1.0)) / w) * smoothstep((arc - ang) / w)
     else:
-        inside = ((np.abs(rr - 1.0) < h) & (ang < arc)).astype(float)
+        inside = (ring & (ang < arc)).astype(float)
     count = int(np.count_nonzero(inside))
     if count < 8:
         raise UnderResolvedError(
@@ -189,7 +191,9 @@ def _defect_report(label: str, powers: tuple[int, int], factors, u: Field2D) -> 
     """
     spec = u.spectrum
     if spec is not None and not any(sym.x_dependent for sym, _ in factors):
-        i1, i2 = np.nonzero(spec.values)
+        rows = np.flatnonzero(spec.values.any(axis=1))
+        i1, i2 = np.nonzero(spec.values[rows])
+        i1 = rows[i1]
         if i1.size == 0:
             raise ValueError("defect of the zero field is undefined")
         xi = u.grid.xi_coords
@@ -291,9 +295,3 @@ def build_graph_adapted_quasimode(grid: GridSpec, graph_fn: GraphFn, k: int,
     if nrm == 0.0:
         raise UnderResolvedError("the Gaussian spectrum underflows to zero on the lattice")
     return semiclassical_ifft(SpectralField2D(grid, (vals * (1.0 / nrm)).astype(np.complex128)))
-
-
-def plane_wave(grid: GridSpec, xi0: tuple[float, float]) -> Field2D:
-    """exp(i <x, xi0>/h); exact lattice frequencies give a one-point spectrum."""
-    x1, x2 = grid.x_mesh()
-    return Field2D(grid, np.exp(1j * (x1 * xi0[0] + x2 * xi0[1]) / grid.h))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import Field2D, GridSpec, sfft1d, smoothstep
+from .grid import Field2D, GridSpec, _alternating_signs, sfft1d, smoothstep
 
 __all__ = [
     "WaveletSpec",
@@ -450,15 +450,20 @@ def coefficient_norm_table(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
                            part: DyadicPartition, b_max_step: float | None = None) -> dict:
     """Per-scale, per-band L^2_{b, xi2} norms, one scale in memory at a time.
 
-    One 2-D transform up front; the power over b of each (scale, xi2) is Parseval's
-    sum over the folded spectrum for s | N, else the sum over the b lattice of one
-    inverse transform.  Returns 'total' (n_a,) and 'bands' (n_a, J + 1).
+    One 2-D transform up front (a rescaled carried spectrum while the samples
+    are pending); the power over b of each (scale, xi2) is Parseval's sum over the
+    folded spectrum for s | N, else the sum over the b lattice of one inverse
+    transform.  Returns 'total' (n_a,) and 'bands' (n_a, J + 1).
     """
     g = v.grid
     a_grid = _check_scales(g, a_grid)
     mults2 = np.stack([part.band_multiplier(g.xi_coords, j) ** 2 for j in range(part.J + 1)])
     an = _window_spectra(w, g, a_grid)[0]
-    spec = sfft1d(np.fft.fft(v.values, axis=0), g, axis=1)
+    if v.samples_pending:
+        ph = _alternating_signs(g.points_per_axis)[:, None]
+        spec = np.sqrt(2.0 * np.pi * g.h) / g.dx * np.fft.ifftshift(v.spectrum.values / ph, axes=0)
+    else:
+        spec = sfft1d(np.fft.fft(v.values, axis=0), g, axis=1)
     buf = np.empty_like(spec)
     strides = np.array([_b_stride(g, a, b_max_step) for a in a_grid])
     power = np.empty((len(a_grid), g.points_per_axis))  # over b, per (scale, xi2)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import t_alpha_lower_exponent
 from qmlab.symbols import graph_parabola, graph_shear
 from qmlab.wavelets import default_wavelet, make_partition
 from qmlab.estimates import (
@@ -20,7 +21,6 @@ from qmlab.estimates import (
     mu_p_j,
     run_sweep,
     sogge_delta,
-    t_alpha_lower_exponent,
 )
 
 W = default_wavelet()

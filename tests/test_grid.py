@@ -1,11 +1,14 @@
 """Grid, field and transform contracts."""
 
+import re
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import dense_lp_norm, random_field, restrict_norm
 from qmlab.grid import (
     MAGIC_FIELD,
     Field2D,
@@ -15,9 +18,8 @@ from qmlab.grid import (
     export_modulus_csv,
     isfft1d,
     lp_norm,
-    random_field,
+    lp_norms,
     read_field,
-    restrict_norm,
     semiclassical_fft,
     semiclassical_ifft,
     sfft1d,
@@ -253,6 +255,70 @@ class TestNorms:
         u = random_field(g, 4)
         with pytest.raises(ValueError):
             restrict_norm(u, (-3.0, 0.0, -1.0, 1.0))
+
+
+STREAM_PS = [1, 2, 6, 8, np.inf]
+
+
+def stream_case_spectrum(case: str, n: int) -> SpectralField2D:
+    """T_alpha (case "alpha,sharp|smooth"), a dense random spectrum, or one whose
+    only nonzero rows are 0 and N - 1, at N points per axis."""
+    if case in ("dense", "edge_rows"):
+        g = GridSpec(5.0, n, 0.1)
+        rng = np.random.default_rng(n)
+        vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if case == "edge_rows":
+            vals[1:-1] = 0.0
+        return SpectralField2D(g, vals)
+    alpha, edges = case.split(",")
+    h = 2.0 ** -{32: 3, 256: 6, 1024: 8}[n]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        u = build_t_alpha(TAlphaSpec(h=h, alpha=float(Fraction(alpha)),
+                                     smoothed_edges=edges == "smooth"), grid_for_t_alpha(h))
+    assert u.grid.n == n
+    return u.spectrum
+
+
+class TestStreamedNorms:
+    @pytest.mark.parametrize("n", [32, 256, 1024])
+    @pytest.mark.parametrize("case", [f"{a},{mode}" for a in ("0.01", "1/3", "1/2")
+                                      for mode in ("sharp", "smooth")] + ["dense", "edge_rows"])
+    def test_streamed_matches_dense_oracle(self, case, n):
+        spec = stream_case_spectrum(case, n)
+        u = semiclassical_ifft(spec)
+        got = lp_norms(u, STREAM_PS)
+        assert u.samples_pending
+        want = [dense_lp_norm(semiclassical_ifft(spec), p) for p in STREAM_PS]
+        assert got[:-1] == pytest.approx(want[:-1], rel=1e-14, abs=0.0)
+        assert got[-1] == want[-1]
+
+    @pytest.mark.parametrize("read", [True, False])
+    def test_existing_samples_bitwise_unchanged(self, read):
+        u = (semiclassical_ifft(stream_case_spectrum("1/2,sharp", 256)) if read
+             else random_field(GridSpec(5.0, 256, 0.1), 2))
+        u.values
+        assert not u.samples_pending
+        assert lp_norms(u, STREAM_PS) == [dense_lp_norm(u, p) for p in STREAM_PS]
+        assert [lp_norm(u, p) for p in STREAM_PS] == [dense_lp_norm(u, p) for p in STREAM_PS]
+
+    def test_overflowing_spectrum_refused(self):
+        g = GridSpec(4.0, 32, 0.25)
+        vals = np.zeros((32, 32), complex)
+        vals[3, 5] = 1e308  # finite, but its synthesis overflows
+        u = semiclassical_ifft(SpectralField2D(g, vals))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(GridError, match="non-finite"):
+            lp_norms(u, [2, np.inf])
+        assert u.samples_pending
+
+    @pytest.mark.parametrize("p", [float("nan"), 0.5, 2 + 0j, "2", None, True])
+    def test_bad_p_refused_before_synthesis(self, p):
+        u = semiclassical_ifft(stream_case_spectrum("1/2,sharp", 32))
+        for call in (lambda: lp_norm(u, p), lambda: lp_norms(u, [2, np.inf, p])):
+            with pytest.raises(ValueError, match="got " + re.escape(repr(p))):
+                call()
+        assert u.samples_pending
 
 
 class TestSerialization:

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import plane_wave
 from qmlab.grid import Field2D, GridSpec
 from qmlab.propagator import (
     CausticError,
@@ -20,7 +21,7 @@ from qmlab.propagator import (
     integrate_flow,
     quasimode_pushforward,
 )
-from qmlab.quasimodes import build_graph_adapted_quasimode, defect, plane_wave
+from qmlab.quasimodes import build_graph_adapted_quasimode, defect
 from qmlab.symbols import (
     ContactReport,
     GraphFn,

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import plane_wave
 from qmlab import grid as grid_module
 from qmlab.config import parse_config, run
 from qmlab.grid import (
@@ -28,7 +29,6 @@ from qmlab.quasimodes import (
     grid_for_t_alpha,
     joint_defect,
     localization_check,
-    plane_wave,
     t_alpha_indicator,
 )
 from qmlab import quasimodes
@@ -448,11 +448,20 @@ class TestLazySynthesis:
         assert report.passed and all(row.error is None for row in report.rows)
         assert syntheses == []
 
-    def test_norms_config_synthesizes_each_field_once(self, syntheses):
+    def test_norms_config_never_materializes(self, syntheses, monkeypatch):
+        passes = []
+        real = grid_module._column_blocks
+
+        def counting(spec):
+            passes.append(spec.grid.h)
+            return real(spec)
+
+        monkeypatch.setattr(grid_module, "_column_blocks", counting)
         text = JOINT_DEFECT_K1.split("[stage defect]")[0].replace(
             "2^-5 2^-6 2^-7 2^-8 2^-9", "2^-5 2^-6 2^-7") + "[stage norms]\np = 2 6 inf\n"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = run(parse_config(text))
         assert all(row.error is None for row in report.rows)
-        assert syntheses == [2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
+        assert syntheses == []
+        assert passes == [2.0 ** -5, 2.0 ** -6, 2.0 ** -7]

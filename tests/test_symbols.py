@@ -6,10 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from oracles import dense_left_quantization
-from qmlab.grid import Field2D, GridSpec, random_field, semiclassical_fft
+from oracles import dense_left_quantization, plane_wave, random_field
+from qmlab.grid import Field2D, GridSpec, semiclassical_fft
 from qmlab.propagator import conjugated_symbol
-from qmlab.quasimodes import defect, joint_defect, plane_wave
+from qmlab.quasimodes import defect, joint_defect
 from qmlab.symbols import (
     CIRCLE_SEAM,
     ContactError,
