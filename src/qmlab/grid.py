@@ -41,7 +41,6 @@ __all__ = [
     "lp_norms",
     "write_field",
     "read_field",
-    "export_modulus_csv",
 ]
 
 MAGIC_FIELD = b"QML1"
@@ -299,7 +298,7 @@ def lp_norm(u: Field2D, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# serialization: flat binary container and CSV export
+# serialization: flat binary container
 # ---------------------------------------------------------------------------
 
 def write_field(u: Field2D, path) -> None:
@@ -334,16 +333,3 @@ def read_field(path) -> Field2D:
         values = np.frombuffer(raw, dtype="<c16").reshape(n, n).astype(np.complex128)
     return Field2D(grid, values)
 
-
-def export_modulus_csv(u: Field2D, path, x1: float | None = None) -> None:
-    """Write a CSV slice of |u| along x2 at fixed x1 (default: row of max |u|)."""
-    mod = np.abs(u.values)
-    if x1 is None:
-        i1 = int(np.argmax(mod.max(axis=1)))
-    else:
-        i1 = int(np.argmin(np.abs(u.grid.x_coords - x1)))
-    x = u.grid.x_coords
-    with open(path, "w", newline="") as fh:
-        fh.write("x1,x2,abs_u\n")
-        for j in range(u.grid.points_per_axis):
-            fh.write(f"{x[i1]!r},{x[j]!r},{mod[i1, j]!r}\n")

@@ -300,10 +300,9 @@ def build_phase(flow: HamiltonianFlow, grid: GridSpec,
     )
 
 
-def eikonal_residual(table: PhaseTable, x1_index: int | None = None) -> float:
-    """Max interior residual |d_{x1} phi + a(x1, y, d_y phi)| by centered FD.
-
-    Needs at least three uniformly spaced stored slices.
+def eikonal_residual(table: PhaseTable) -> float:
+    """Max residual |d_{x1} phi + a(x1, y, d_y phi)| by centered FD over every
+    interior slice.  Needs at least three uniformly spaced stored slices.
     """
     t = table.x1_values
     if len(t) < 3:
@@ -311,9 +310,8 @@ def eikonal_residual(table: PhaseTable, x1_index: int | None = None) -> float:
     slices = [table.slice_arrays(x1)[0] for x1 in t]
     phi = np.stack(slices)
     dy = table.y_grid[1] - table.y_grid[0]
-    idx = range(1, len(t) - 1) if x1_index is None else [x1_index]
     worst = None
-    for s in idx:
+    for s in range(1, len(t) - 1):
         left, right = t[s] - t[s - 1], t[s + 1] - t[s]
         if abs(left - right) > 1e-9 * max(left, right):
             continue  # slice without symmetric neighbors (e.g. next to t = 0)
@@ -442,13 +440,13 @@ def conjugated_symbol(a_graph: GraphFn, q_graph: GraphFn, x1: float, dt: float):
 
 
 def quasimode_pushforward(graph: GraphFn, u: Field2D,
-                          localization_tol: float = 1e-6,
-                          localization_radius: float | None = None) -> Field2D:
+                          localization_tol: float = 1e-6) -> Field2D:
     """v(x1, .) = W(x1) u(x1, .) for every grid row x1.
 
-    Requires an O(1)-localized input (checked) and an x-independent
-    generator, whose multiplier is exact for every row; a tabulated phase
-    has no slices at the negative rows x1 < 0.
+    Requires an O(1)-localized input (checked: at most ``localization_tol`` of
+    its mass beyond radius L/2) and an x-independent generator, whose
+    multiplier is exact for every row; a tabulated phase has no slices at the
+    negative rows x1 < 0.
     """
     from .quasimodes import localization_check
 
@@ -456,7 +454,7 @@ def quasimode_pushforward(graph: GraphFn, u: Field2D,
     phases = _multiplier(graph, g.x_coords[:, None], g)
     if u.l2_norm() == 0.0:
         return Field2D(g, np.zeros_like(u.values))
-    radius = localization_radius if localization_radius is not None else g.half_width / 2.0
+    radius = g.half_width / 2.0
     frac = localization_check(u, radius, side="x")
     if frac > localization_tol:
         raise ValueError(

@@ -134,7 +134,9 @@ def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec) -> SpectralField2D:
     ang[ring] = np.abs(np.angle(np.exp(1j * (np.arctan2(xi2[ring], xi1[ring]) - theta0))))
     if spec.smoothed_edges:
         w = h / 8.0
-        inside = smoothstep((h - np.abs(rr - 1.0)) / w) * smoothstep((arc - ang) / w)
+        inside = np.zeros(rr.shape)
+        inside[ring] = (smoothstep((h - np.abs(rr[ring] - 1.0)) / w)
+                        * smoothstep((arc - ang[ring]) / w))
     else:
         inside = (ring & (ang < arc)).astype(float)
     count = int(np.count_nonzero(inside))
@@ -277,10 +279,9 @@ def build_flat_quasimode(grid: GridSpec, k: int, sigma1_factor: float = 3.0,
 
 def build_graph_adapted_quasimode(grid: GridSpec, graph_fn: GraphFn, k: int,
                                   sigma1_factor: float = 2.0,
-                                  sigma2_factor: float = 0.5,
-                                  xi2_center: float = 0.0) -> Field2D:
+                                  sigma2_factor: float = 0.5) -> Field2D:
     """Gaussian spectrum hugging the graph xi1 = a(xi2): an O(h) quasimode of
-    hD_x1 - a(hD_x2) with angular spread ~ h^(1/(k+1)) around xi2_center.
+    hD_x1 - a(hD_x2) with angular spread ~ h^(1/(k+1)) around xi2 = 0.
 
     Requires an x-independent graph (its value at x = 0 is used on the lattice).
     """
@@ -290,7 +291,7 @@ def build_graph_adapted_quasimode(grid: GridSpec, graph_fn: GraphFn, k: int,
     xi1, xi2 = grid.xi_mesh()
     a_vals = np.asarray(graph_fn.value(0.0, 0.0, xi2), dtype=float)
     vals = np.exp(-((xi1 - a_vals) ** 2) / (2 * s1 ** 2)
-                  - ((xi2 - xi2_center) ** 2) / (2 * s2 ** 2))
+                  - (xi2 ** 2) / (2 * s2 ** 2))
     nrm = float(np.sqrt(np.sum(vals ** 2)) * grid.dxi)
     if nrm == 0.0:
         raise UnderResolvedError("the Gaussian spectrum underflows to zero on the lattice")

@@ -5,8 +5,8 @@ xi1 = a(x, xi2) is one term list of (j, c, m) = x2^j * c * xi2^m, m = None for
 the seam-continued circle; its jet (a and the three partials the Hamiltonian
 flow needs, None where structurally zero), its closed-form
 xi2-derivatives (contact order is read off exactly) and graph sums all derive
-from that list.  When a closed form is not available (Newton branches, flow
-pullbacks) the detection falls back to centered finite differences with
+from that list.  When a closed form is not available (flow pullbacks and
+custom branches) the detection falls back to centered finite differences with
 Richardson extrapolation; every stencil point is evaluated in one batched
 call per graph.
 
@@ -31,7 +31,6 @@ from .grid import Field2D, SpectralField2D, isfft1d, semiclassical_fft, semiclas
 __all__ = [
     "GraphFn",
     "GraphBranch",
-    "NewtonBranch",
     "graph_circle",
     "graph_parabola",
     "graph_flat",
@@ -288,40 +287,6 @@ class GraphBranch:
         return self._deriv(xi2, order)
 
 
-class NewtonBranch(GraphBranch):
-    """Numeric branch solved by Newton iteration with residual <= tol."""
-
-    def __init__(self, sym: "SymbolSpec", d_xi1: Callable, x=(0.0, 0.0),
-                 xi1_start: float = 0.0, tol: float = 1e-12, max_iter: int = 80):
-        self.sym = sym
-        self.d_xi1 = d_xi1  # d p / d xi1, same arguments as sym.value
-        self.x = x
-        self.xi1_start = xi1_start
-        self.tol = tol
-        self.max_iter = max_iter
-        super().__init__(self._solve, None, label=f"newton[{sym.label}]")
-
-    def _solve(self, xi2):
-        xi2 = np.asarray(xi2, dtype=float)
-        scalar = xi2.ndim == 0
-        xi2 = np.atleast_1d(xi2)
-        x1, x2 = self.x
-        xi1 = np.full(xi2.shape, float(self.xi1_start))
-        real = lambda f: np.broadcast_to(np.asarray(f(x1, x2, xi1, xi2), dtype=complex).real, xi1.shape)
-        for _ in range(self.max_iter):  # per-point stopping: a value does not depend on its batch
-            r = real(self.sym.value)
-            todo = ~(np.abs(r) <= self.tol)
-            if not todo.any():
-                break
-            dp = real(self.d_xi1)[todo]
-            if np.any(np.abs(dp) < 1e-14):
-                raise ValueError("Newton branch: vanishing d p / d xi1 (no graph here)")
-            xi1[todo] -= r[todo] / dp
-        else:
-            raise ValueError("Newton branch did not converge")
-        return float(xi1[0]) if scalar else xi1
-
-
 @dataclass(frozen=True)
 class SymbolSpec:
     """Named, parameterized symbol with evaluators.
@@ -404,25 +369,11 @@ def graph_symbol(graph_fn: GraphFn) -> SymbolSpec:
     )
 
 
-def custom_symbol(value, label="custom", x_dependent=False, xi1_partial=None,
-                  graph=None) -> SymbolSpec:
-    """Symbol from plain callables; graph defaults to a Newton solve."""
-
-    def default_graph(x, xi0):
-        start = 0.0 if xi0 is None else float(xi0[0])
-        return NewtonBranch(spec, xi1_partial or fd_xi1, x=x, xi1_start=start)
-
-    def fd_xi1(x1, x2, xi1, xi2, eta=1e-6):
-        return (np.asarray(value(x1, x2, xi1 + eta, xi2)) - np.asarray(value(x1, x2, xi1 - eta, xi2))) / (2 * eta)
-
-    spec = SymbolSpec(
-        family="custom",
-        label=label,
-        x_dependent=x_dependent,
-        value=value,
-        _graph=graph or default_graph,
-    )
-    return spec
+def custom_symbol(value, label="custom", x_dependent=False, graph=None) -> SymbolSpec:
+    """Symbol from a plain callable; ``graph`` (x, xi0) -> GraphBranch, if
+    given, is its branch of {p = 0} (else it has no graph representation)."""
+    return SymbolSpec(family="custom", label=label, x_dependent=x_dependent, value=value,
+                      _graph=graph)
 
 
 def multiplier_symbol(fn_of_xi, label) -> SymbolSpec:

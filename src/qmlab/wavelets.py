@@ -11,25 +11,24 @@ the two-sided admissibility integral C_f = Int |fhat|^2/|xi| dxi.
 
 The mother wavelet is the odd polynomial bump c * t (1 - t^2)^3 on [-1, 1]
 (zero mean by oddness, C^2, closed-form antiderivative).  Sampled analysis
-windows are re-centered to exact discrete zero mean over their own support,
-so adding a constant-in-x1 field changes nothing and disjoint supports still
-give exactly zero coefficients.
+windows are re-centered to discrete zero mean over their own support, so a
+field constant in x1 is annihilated up to rounding.
 
 Translation grids are lattice-aligned subsets of the x1 samples with spacing
 <= a/4 per scale; scale grids are log-spaced at 48 points per decade.
-``cwt_forward`` defaults to the direct Riemann sum (exact support sparsity,
-for the structural-zero contracts).  Everything else works on the x1
-spectrum of the periodic box, equal to the direct sum away from window
-wrap-around: analysis multiplies by conj(khat) of the re-centered window,
+There is one engine, on the x1 spectrum of the periodic box (equal to the
+direct Riemann sum of the analysis integral wherever no window wraps around
+the box): analysis multiplies by conj(khat) of the re-centered window,
 synthesis by khat of the raw samples f(m dx / a), and decimating by the
 stride s then zero-stuffing folds the s aliases, (1/s) sum_r Y[(k mod M) + rM]
-with M = N/s, when s | N; other strides take one ifft/fft pair.
+with M = N/s, when s | N; other strides take one ifft/fft pair.  The
+pipeline reads it through :func:`cwt_roundtrip_error` (synthesis after
+analysis) and :func:`coefficient_norm_table` (per-scale, per-band norms).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,19 +38,13 @@ from .grid import Field2D, GridSpec, _alternating_signs, sfft1d, smoothstep
 
 __all__ = [
     "WaveletSpec",
-    "CwtCoefficients",
     "DyadicPartition",
     "default_wavelet",
     "admissibility_constant",
     "default_scale_grid",
-    "cwt_forward",
-    "cwt_inverse",
     "cwt_roundtrip_error",
-    "spectral_coefficients",
     "make_partition",
-    "dyadic_project",
     "partition_sum",
-    "coefficient_norm",
     "coefficient_norm_table",
     "UnderResolvedScaleError",
 ]
@@ -143,47 +136,8 @@ def admissibility_constant(w: WaveletSpec, n_samples: int = 1 << 18,
 
 
 # ---------------------------------------------------------------------------
-# coefficient container and grids
+# grids and the spectral engine
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CwtCoefficients:
-    """Per-scale translation slices X(a_i, b, x2) (or their xi2 spectra)."""
-
-    grid: GridSpec
-    a_grid: np.ndarray
-    b_grids: tuple[np.ndarray, ...]
-    values: tuple[np.ndarray, ...]  # each (len(b_grids[i]), N)
-    domain: str = "x2"  # or "xi2"
-    dyadic_band: int | None = None
-
-    def __post_init__(self):
-        if len(self.b_grids) != len(self.a_grid) or len(self.values) != len(self.a_grid):
-            raise ValueError("per-scale arrays must match the scale grid length")
-        n = self.grid.points_per_axis
-        for b, v in zip(self.b_grids, self.values):
-            if v.shape != (len(b), n):
-                raise ValueError(f"slice shape {v.shape} != ({len(b)}, {n})")
-            if not np.all(np.isfinite(v.view(np.float64))):
-                raise ValueError("coefficients contain non-finite entries")
-        if self.domain not in ("x2", "xi2"):
-            raise ValueError(f"domain must be 'x2' or 'xi2', got {self.domain!r}")
-
-    def scale_index(self, a: float) -> int:
-        i = int(np.argmin(np.abs(self.a_grid - a)))
-        if abs(self.a_grid[i] - a) > 1e-12 * max(1.0, abs(a)):
-            warnings.warn(f"scale {a} not on the grid; using nearest {self.a_grid[i]}",
-                          stacklevel=3)
-        return i
-
-    def __add__(self, other: "CwtCoefficients") -> "CwtCoefficients":
-        if (self.domain != other.domain or len(self.a_grid) != len(other.a_grid)
-                or not np.allclose(self.a_grid, other.a_grid)):
-            raise ValueError("coefficient grids are incompatible")
-        vals = tuple(v1 + v2 for v1, v2 in zip(self.values, other.values))
-        return CwtCoefficients(self.grid, self.a_grid, self.b_grids, vals,
-                               self.domain, self.dyadic_band)
-
 
 def default_scale_grid(a_min: float, a_max: float, per_decade: int = 48) -> np.ndarray:
     """Log-spaced scales with fixed per-decade density, endpoints included."""
@@ -205,20 +159,6 @@ def _check_scales(grid: GridSpec, a_grid: np.ndarray) -> np.ndarray:
         raise UnderResolvedScaleError(
             f"scale a = {bad:.4g} <= 2 dx = {2 * grid.dx:.4g}; refine the grid")
     return a_grid
-
-
-def _forward_slice_direct(v: Field2D, w: WaveletSpec, a: float, stride: int) -> np.ndarray:
-    g = v.grid
-    x = g.x_coords
-    b = x[::stride]
-    arg = (x[None, :] - b[:, None]) / a
-    rows = np.asarray(np.real(w.f(arg)), dtype=float)
-    supp = np.abs(arg) <= w.support
-    cnt = supp.sum(axis=1)
-    sums = np.where(supp, rows, 0.0).sum(axis=1)
-    corr = np.divide(sums, cnt, out=np.zeros_like(sums), where=cnt > 0)
-    rows = np.where(supp, rows - corr[:, None], 0.0)
-    return (g.dx / math.sqrt(a)) * (rows @ v.values)
 
 
 def _window_spectra(w: WaveletSpec, grid: GridSpec, a_grid: np.ndarray) -> tuple:
@@ -259,68 +199,14 @@ def _stuffed_spectrum(y: np.ndarray, stride: int) -> np.ndarray:
     return np.fft.fft(y, axis=0, out=y)
 
 
-def cwt_forward(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
-                b_max_step: float | None = None, method: str = "direct") -> CwtCoefficients:
-    """Transform in the x1 variable for every scale on the grid.
-
-    Each slice is the Riemann sum of the defining integral on the lattice-
-    aligned translation grid; scales at or below twice the grid spacing are
-    refused.  method="fft" computes the same correlation on the periodic box
-    from the x1 spectrum.
-    """
-    if method not in ("direct", "fft"):
-        raise ValueError(f"unknown method {method!r}")
-    g = v.grid
-    a_grid = _check_scales(g, a_grid)
-    if method == "fft":
-        an = _window_spectra(w, g, a_grid)[0]
-        vhat = np.fft.fft(v.values, axis=0)
-    b_grids, values = [], []
-    for i, a in enumerate(a_grid):
-        stride = _b_stride(g, a, b_max_step)
-        if method == "direct":
-            values.append(_forward_slice_direct(v, w, a, stride))
-        else:
-            full = np.fft.ifft(_stuffed_spectrum(vhat * an[i][:, None], stride), axis=0)
-            values.append(full if g.points_per_axis % stride == 0 else full[::stride].copy())
-        b_grids.append(g.x_coords[::stride])
-    return CwtCoefficients(g, a_grid, tuple(b_grids), tuple(values), "x2")
-
-
-def cwt_inverse(X: CwtCoefficients, w: WaveletSpec) -> Field2D:
-    """Synthesis over positive scales with weight a^{-5/2} / (C_f / 2).
-
-    The scale integral uses trapezoid weights on the stored grid, the
-    translation integral the per-scale uniform spacing.  Coverage of the
-    input's active scales is the caller's responsibility; the round-trip
-    error is measurable via :func:`cwt_roundtrip_error`, never hidden.
-    """
-    if X.domain != "x2":
-        raise ValueError("synthesis needs position-domain coefficients")
-    if len(X.a_grid) < 2:
-        raise ValueError("need at least two scales for the synthesis integral")
-    g = X.grid
-    n = g.points_per_axis
-    strides = np.array([max(1, int(round((b[1] - b[0]) / g.dx))) for b in X.b_grids])
-    syn = _window_spectra(w, g, X.a_grid)[1]
-    syn *= _synthesis_weights(w, X.a_grid, strides * g.dx)[:, None]
-    out_hat = np.zeros((n, n), dtype=np.complex128)
-    for i, (stride, vals) in enumerate(zip(strides, X.values)):
-        z = vals  # for s | N its M-point spectrum is already the fold
-        if n % stride:
-            z = np.zeros_like(out_hat)
-            z[::stride] = vals
-        z = np.fft.fft(z, axis=0)
-        out_hat.reshape(-1, len(z), n)[:] += syn[i].reshape(-1, len(z), 1) * z
-    return Field2D(g, np.fft.ifft(out_hat, axis=0, out=out_hat))
-
-
 def cwt_roundtrip_error(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
                         b_max_step: float | None = None) -> float:
     """Relative L^2 error of synthesis-after-analysis, summed in the x1 spectrum.
 
-    Same quadrature as cwt_inverse(cwt_forward(v, ..., method="fft")) in O(N^2)
-    memory.  Scales sharing a stride s | N add out[q + r'M] += sum_r T[r', r, q]
+    The synthesis of the analysis slices (trapezoid da, per-scale uniform db,
+    weight a^{-5/2} / (C_f / 2)) in O(N^2) memory, never holding a slice or
+    the synthesized field.  ``b_max_step`` caps the translation step below
+    a/4.  Scales sharing a stride s | N add out[q + r'M] += sum_r T[r', r, q]
     vhat[q + rM] with one (s, s, M) table T = (1/s) sum_a syn_a[q + r'M] an_a[q + rM],
     so the N^2 work is done once per stride; the others take one ifft/fft pair each.
     """
@@ -349,14 +235,6 @@ def cwt_roundtrip_error(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
     np.fft.ifft(out, axis=0, out=out)
     out -= v.values
     return float(np.sqrt(np.vdot(out, out).real / np.vdot(v.values, v.values).real))
-
-
-def spectral_coefficients(X: CwtCoefficients) -> CwtCoefficients:
-    """1-D h-scaled transform of every slice in the x2 slot."""
-    if X.domain != "x2":
-        return X
-    vals = tuple(sfft1d(v, X.grid, axis=1) for v in X.values)
-    return CwtCoefficients(X.grid, X.a_grid, X.b_grids, vals, "xi2", X.dyadic_band)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +278,7 @@ class DyadicPartition:
 
     def band_multiplier(self, xi2: np.ndarray, j: int) -> np.ndarray:
         """Cutoff of band j; j may exceed J here (kernel probes beyond the
-        partition cap), while projection enforces membership."""
+        partition cap), while the norm table uses bands 0..J."""
         if j < 0:
             raise ValueError(f"band index must be >= 0, got {j}")
         t = np.asarray(xi2, dtype=float) / self.scale
@@ -422,32 +300,12 @@ def partition_sum(part: DyadicPartition, xi2: np.ndarray) -> np.ndarray:
     return total
 
 
-def dyadic_project(X: CwtCoefficients, part: DyadicPartition, j: int) -> CwtCoefficients:
-    """Restrict spectral coefficients to the j-th dyadic band."""
-    if X.domain != "xi2":
-        raise ValueError("dyadic projection needs spectral coefficients")
-    if not 0 <= j <= part.J:
-        raise ValueError(f"band index {j} outside the partition range [0, {part.J}]")
-    mult = part.band_multiplier(X.grid.xi_coords, j)
-    vals = tuple(v * mult[None, :] for v in X.values)
-    return CwtCoefficients(X.grid, X.a_grid, X.b_grids, vals, "xi2", j)
-
-
 # ---------------------------------------------------------------------------
 # coefficient norms
 # ---------------------------------------------------------------------------
 
-def coefficient_norm(X: CwtCoefficients, fixed_a: float) -> float:
-    """L^2_{b, x2-or-xi2} norm of the slice at one scale."""
-    i = X.scale_index(fixed_a)
-    b = X.b_grids[i]
-    db = b[1] - b[0] if len(b) > 1 else 1.0
-    dcol = X.grid.dxi if X.domain == "xi2" else X.grid.dx
-    return float(np.sqrt(np.sum(np.abs(X.values[i]) ** 2) * db * dcol))
-
-
 def coefficient_norm_table(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
-                           part: DyadicPartition, b_max_step: float | None = None) -> dict:
+                           part: DyadicPartition) -> dict:
     """Per-scale, per-band L^2_{b, xi2} norms, one scale in memory at a time.
 
     One 2-D transform up front (a rescaled carried spectrum while the samples
@@ -465,7 +323,7 @@ def coefficient_norm_table(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
     else:
         spec = sfft1d(np.fft.fft(v.values, axis=0), g, axis=1)
     buf = np.empty_like(spec)
-    strides = np.array([_b_stride(g, a, b_max_step) for a in a_grid])
+    strides = np.array([_b_stride(g, a, None) for a in a_grid])
     power = np.empty((len(a_grid), g.points_per_axis))  # over b, per (scale, xi2)
     for i, stride in enumerate(strides):
         y = np.multiply(spec, an[i][:, None], out=buf)

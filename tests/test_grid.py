@@ -15,7 +15,6 @@ from qmlab.grid import (
     GridSpec,
     GridError,
     SpectralField2D,
-    export_modulus_csv,
     isfft1d,
     lp_norm,
     lp_norms,
@@ -359,11 +358,3 @@ class TestSerialization:
         with pytest.raises(GridError, match="trailing"):
             read_field(path)
 
-    def test_modulus_csv(self, tmp_path):
-        g = GridSpec(2.0, 16, 0.5)
-        u = random_field(g, 1)
-        path = tmp_path / "slice.csv"
-        export_modulus_csv(u, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x1,x2,abs_u"
-        assert len(lines) == 17

@@ -129,37 +129,11 @@ class TestGraphOf:
         t = np.linspace(-1, 1, 7)
         np.testing.assert_allclose(br(t), 0.7 * t ** 3, atol=1e-14)
 
-    def test_newton_branch_vs_bisection(self):
-        cubic = custom_symbol(
-            lambda x1, x2, xi1, xi2: np.asarray(xi1) ** 3 + np.asarray(xi1) - np.asarray(xi2),
-            label="cubic",
-            xi1_partial=lambda x1, x2, xi1, xi2: 3 * np.asarray(xi1) ** 2 + 1 + 0.0 * np.asarray(xi2),
-        )
-        br = cubic.graph()
-        for t in (-0.8, -0.1, 0.0, 0.4, 1.0):
-            val = float(br(t))
-            assert abs(val ** 3 + val - t) <= 1e-12
-            # independent bisection oracle
-            lo, hi = -2.0, 2.0
-            for _ in range(60):
-                mid = (lo + hi) / 2
-                if (mid ** 3 + mid - t) * (lo ** 3 + lo - t) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            assert val == pytest.approx((lo + hi) / 2, abs=1e-10)
-
-    def test_newton_branch_batch_equals_pointwise(self):
-        # contact_order solves all stencil points in one call; each value must
-        # be the one a scalar solve gives
-        sym = custom_symbol(
-            lambda x1, x2, xi1, xi2: np.asarray(xi1) + np.asarray(xi1) ** 3 - np.asarray(xi2) ** 2,
-            label="cubic_square",
-            xi1_partial=lambda x1, x2, xi1, xi2: 1 + 3 * np.asarray(xi1) ** 2 + 0.0 * np.asarray(xi2),
-        )
-        br = sym.graph()
-        t = np.linspace(-0.02, 0.02, 9)
-        np.testing.assert_array_equal(br(t), [br(v) for v in t])
+    def test_custom_symbol_without_graph_refused(self):
+        cubic = custom_symbol(lambda x1, x2, xi1, xi2: np.asarray(xi1) ** 3 - np.asarray(xi2),
+                              label="cubic")
+        with pytest.raises(ValueError, match="'cubic' has no graph representation"):
+            contact_order(graph_symbol(graph_flat()), cubic, (0.0, 0.0), 2)
 
 
 def spectral_laplacian_oracle(u: Field2D):

@@ -6,23 +6,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qmlab.grid import Field2D, GridSpec, sfft1d
+from qmlab.grid import Field2D, GridSpec, SpectralField2D, semiclassical_ifft, sfft1d
 from qmlab.wavelets import (
-    CwtCoefficients,
     UnderResolvedScaleError,
     WaveletSpec,
     admissibility_constant,
-    coefficient_norm,
     coefficient_norm_table,
-    cwt_forward,
-    cwt_inverse,
     cwt_roundtrip_error,
     default_scale_grid,
     default_wavelet,
-    dyadic_project,
     make_partition,
     partition_sum,
-    spectral_coefficients,
 )
 
 W = default_wavelet()
@@ -78,96 +72,107 @@ def packet(grid, omega=3.0, width=0.8, x2_width=0.5):
     return Field2D(grid, vals)
 
 
+def norms(v, a_grid, w=W):
+    return coefficient_norm_table(v, w, a_grid, make_partition(v.grid.h, 1))
+
+
+def _riemann_slices(v, w, a):
+    """The defining Riemann sum at every b of the stride lattice: the window
+    cut to its support inside the box and re-centered there."""
+    g = v.grid
+    x = g.x_coords
+    rows = []
+    for b in x[::_oracle_stride(g, a)]:
+        t = (x - b) / a
+        supp = np.abs(t) <= w.support
+        r = np.real(w.f(t))
+        rows.append(np.where(supp, r - r[supp].mean(), 0.0))
+    return g.dx / math.sqrt(a) * np.array(rows) @ v.values
+
+
+def _oracle_norms(slices, g, a_grid, part):
+    """Per-scale total and per-band L^2_{b, xi2} norms of explicit slices."""
+    mults2 = np.stack([part.band_multiplier(g.xi_coords, j) ** 2 for j in range(part.J + 1)])
+    total, bands = [], []
+    for a, sl in zip(a_grid, slices):
+        power = np.sum(np.abs(sfft1d(sl, g, axis=1)) ** 2, axis=0)
+        power *= _oracle_stride(g, a) * g.dx * g.dxi
+        total.append(np.sqrt(power.sum()))
+        bands.append(np.sqrt(mults2 @ power))
+    return np.array(total), np.array(bands)
+
+
+def _assert_table_equals(tab, total, bands, rtol):
+    # relative to the largest norm of the table: band norms far below it
+    # carry only that norm's absolute rounding
+    scale = np.max(total)
+    assert np.max(np.abs(tab["total"] - total)) <= rtol * scale
+    assert np.max(np.abs(tab["bands"] - bands)) <= rtol * scale
+
+
 class TestForward:
+    # the analysis as the norm table reads it
     def test_constant_killed_exactly(self):
         g = GridSpec(4.0, 128, 0.1)
         v = packet(g)
-        vc = Field2D(g, v.values + 0.37)
+        _, x2 = g.x_mesh()
+        vc = Field2D(g, v.values + 0.37 + 0.2 * np.cos(x2))  # constant in x1
         a_grid = np.array([0.3, 0.7])
-        x1 = cwt_forward(v, W, a_grid)
-        x2 = cwt_forward(vc, W, a_grid)
-        assert max(np.max(np.abs(p - q)) for p, q in zip(x1.values, x2.values)) <= 1e-13
+        for w in (W, _asymmetric_wavelet()):  # the odd window's samples sum to 0 anyway
+            t, tc = norms(v, a_grid, w), norms(vc, a_grid, w)
+            _assert_table_equals(tc, t["total"], t["bands"], 1e-14)
 
     def test_pure_constant_gives_zero(self):
         # the support-local re-centering kills constants to rounding noise
         g = GridSpec(4.0, 128, 0.1)
         v = Field2D(g, np.full((128, 128), 1.3 + 0.2j))
-        x = cwt_forward(v, W, np.array([0.3, 0.7]))
-        assert max(np.max(np.abs(p)) for p in x.values) <= 1e-14
+        for w in (W, _asymmetric_wavelet()):
+            assert np.max(norms(v, np.array([0.3, 0.7]), w)["total"]) <= 1e-15 * v.l2_norm()
 
     def test_matched_window_inner_product(self):
         g = GridSpec(4.0, 256, 0.1)
         a0 = 0.5
         x = g.x_coords
-        b0 = float(x[96])  # on the translation lattice of stride
+        b0 = float(x[96])  # on the translation lattice of stride 4
         col = np.exp(-g.x_coords ** 2)
         v = Field2D(g, (np.real(W.f((x - b0) / a0)) / math.sqrt(a0))[:, None] * col[None, :])
-        X = cwt_forward(v, W, np.array([a0, 1.0]))
-        i = list(X.b_grids[0]).index(b0) if b0 in X.b_grids[0] else int(
-            np.argmin(np.abs(X.b_grids[0] - b0)))
-        # direct inner-product oracle at (a0, b0)
-        rows = np.real(W.f((x - X.b_grids[0][i]) / a0))
-        rows = rows - rows[np.abs((x - X.b_grids[0][i]) / a0) <= 1].mean() * (
-            np.abs((x - X.b_grids[0][i]) / a0) <= 1)
-        oracle = g.dx / math.sqrt(a0) * rows @ v.values
-        np.testing.assert_allclose(X.values[0][i], oracle, atol=1e-13)
+        a_grid = np.array([a0, 1.0])
+        slices = [_riemann_slices(v, W, a) for a in a_grid]
         # quadrature approximates ||f||^2 * column = column (unit-norm window)
-        np.testing.assert_allclose(X.values[0][i], col, rtol=2e-3, atol=1e-6)
-
-    def test_disjoint_support_exact_zero(self):
-        g = GridSpec(4.0, 128, 0.1)
-        x1, x2 = g.x_mesh()
-        v = Field2D(g, np.where(np.abs(x1 + 2.0) < 0.5, 1.0 + 0j, 0.0))
-        X = cwt_forward(v, W, np.array([0.3, 0.4]))
-        for i, a in enumerate(X.a_grid):
-            far = np.abs(X.b_grids[i] + 2.0) > 0.5 + a + 0.05
-            assert np.all(X.values[i][far] == 0.0)
+        np.testing.assert_allclose(slices[0][96 // 4], col, rtol=2e-3, atol=1e-6)
+        # the field is compact inside the box, so no window wraps around onto it
+        part = make_partition(g.h, 1)
+        tab = coefficient_norm_table(v, W, a_grid, part)
+        _assert_table_equals(tab, *_oracle_norms(slices, g, a_grid, part), 1e-15)
 
     def test_under_resolved_scale_refused(self):
         g = GridSpec(4.0, 64, 0.1)
-        with pytest.raises(UnderResolvedScaleError):
-            cwt_forward(packet(g), W, np.array([0.2, 2 * g.dx]))
+        for a_grid in (np.array([0.2, 2 * g.dx]), np.array([0.2, g.dx])):
+            with pytest.raises(UnderResolvedScaleError):
+                norms(packet(g), a_grid)
+            with pytest.raises(UnderResolvedScaleError):
+                cwt_roundtrip_error(packet(g), W, a_grid)
 
     def test_fft_matches_direct_on_interior(self):
         g = GridSpec(4.0, 256, 0.1)
         vv = packet(g, width=0.5).values.copy()
         x1, _ = g.x_mesh()
-        vv[np.abs(x1) > 2.5] = 0.0  # exactly compact: no wrap-around in the box
+        vv[np.abs(x1) > 2.5] = 0.0  # exactly compact: no window of a <= 1 wraps onto it
         v = Field2D(g, vv)
-        a_grid = default_scale_grid(0.15, 1.0, per_decade=8)
-        xd = cwt_forward(v, W, a_grid, method="direct")
-        xf = cwt_forward(v, W, a_grid, method="fft")
-        # identical wherever the window stays inside the box (the two paths
-        # treat box-crossing windows differently: truncation vs wrap-around)
-        err = 0.0
-        for a, b, p, q in zip(a_grid, xd.b_grids, xd.values, xf.values):
-            interior = np.abs(b) <= g.half_width - a - g.dx
-            err = max(err, float(np.max(np.abs((p - q)[interior]))))
-        assert err <= 1e-12
+        a_grid = default_scale_grid(0.15, 1.0, per_decade=8)  # strides 1..8
+        part = make_partition(g.h, 1)
+        slices = [_riemann_slices(v, W, a) for a in a_grid]
+        tab = coefficient_norm_table(v, W, a_grid, part)
+        _assert_table_equals(tab, *_oracle_norms(slices, g, a_grid, part), 1e-13)
 
 
 class TestInverse:
-    def test_zero_coefficients(self):
-        g = GridSpec(4.0, 128, 0.1)
-        X = cwt_forward(Field2D(g, np.zeros((128, 128), complex)), W, np.array([0.3, 0.6]))
-        assert np.all(cwt_inverse(X, W).values == 0.0)
-
-    def test_linearity(self):
-        g = GridSpec(4.0, 128, 0.1)
-        a_grid = default_scale_grid(0.2, 1.0, per_decade=8)
-        x1 = cwt_forward(packet(g, omega=3.0), W, a_grid)
-        x2 = cwt_forward(packet(g, omega=5.0), W, a_grid)
-        lhs = cwt_inverse(x1 + x2, W).values
-        rhs = cwt_inverse(x1, W).values + cwt_inverse(x2, W).values
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
     def test_streamed_equals_materialized(self):
         g = GridSpec(4.0, 128, 0.1)
         a_grid = default_scale_grid(0.2, 2.0, per_decade=12)
         v = packet(g)
-        X = cwt_forward(v, W, a_grid, method="fft")
-        back = cwt_inverse(X, W)
-        err_mat = float(np.sqrt(np.sum(np.abs(back.values - v.values) ** 2)
+        back, _ = _oracle_roundtrip(v, W, a_grid)  # scale by scale, materialized
+        err_mat = float(np.sqrt(np.sum(np.abs(back - v.values) ** 2)
                                 / np.sum(np.abs(v.values) ** 2)))
         err_str = cwt_roundtrip_error(v, W, a_grid)
         assert err_mat == pytest.approx(err_str, abs=1e-14)
@@ -184,36 +189,39 @@ class TestInverse:
 
 class TestSpectral:
     def test_zero(self):
+        # a zero carried spectrum: exact zeros, and the samples stay unread
         g = GridSpec(4.0, 128, 0.1)
-        X = cwt_forward(Field2D(g, np.zeros((128, 128), complex)), W, np.array([0.3, 0.6]))
-        assert all(np.all(v == 0) for v in spectral_coefficients(X).values)
+        v = semiclassical_ifft(SpectralField2D(g, np.zeros((128, 128), complex)))
+        tab = norms(v, np.array([0.3, 0.6]))
+        assert np.all(tab["total"] == 0.0) and np.all(tab["bands"] == 0.0)
+        assert v.samples_pending
 
     def test_per_slice_plancherel(self):
+        # the table sums over xi2; the same norm over x2 of the oracle slices
         g = GridSpec(4.0, 128, 0.1)
         rng = np.random.default_rng(3)
         vals = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
-        X = cwt_forward(Field2D(g, vals), W, np.array([0.3, 0.6]))
-        S = spectral_coefficients(X)
-        for xv, sv in zip(X.values, S.values):
-            a = np.sum(np.abs(xv) ** 2) * g.dx
-            b = np.sum(np.abs(sv) ** 2) * g.dxi
-            assert abs(a - b) / a <= 1e-10
+        a_grid = np.array([0.3, 0.6])
+        tab = norms(Field2D(g, vals), a_grid)
+        vhat = np.fft.fft(vals, axis=0)
+        for i, a in enumerate(a_grid):
+            s = _oracle_stride(g, a)
+            x2_norm = np.sqrt(np.sum(np.abs(_oracle_slice(vhat, W, g, a, s)) ** 2) * s * g.dx * g.dx)
+            assert abs(tab["total"][i] - x2_norm) <= 1e-13 * x2_norm
 
     def test_plane_wave_column_spike(self):
+        # one xi2 column carries all the power, so each band norm is the total
+        # times that band's cutoff at the spike
         g = GridSpec(4.0, 128, 0.1)
         x1, x2 = g.x_mesh()
-        m0 = 80
+        m0 = 73  # xi2 = 0.707, in the overlap of bands 1 and 2
         v = Field2D(g, np.exp(-x1 ** 2) * np.exp(1j * g.xi_coords[m0] * x2 / g.h))
-        S = spectral_coefficients(cwt_forward(v, W, np.array([0.5, 1.0])))
-        for sv in S.values:
-            power = np.sum(np.abs(sv) ** 2, axis=0)
-            assert power[m0] >= 0.999 * power.sum()
-            # direct 1-D DFT oracle on one translation row
-            row = cwt_forward(v, W, np.array([0.5, 1.0])).values[0][3]
-            oracle = (g.dx / np.sqrt(2 * np.pi * g.h)
-                      * np.sum(row * np.exp(-1j * g.x_coords * g.xi_coords[m0] / g.h)))
-            assert sv[3, m0] == pytest.approx(oracle, rel=1e-10)
-            break
+        part = make_partition(g.h, 1)
+        tab = coefficient_norm_table(v, W, np.array([0.5, 1.0]), part)
+        cut = np.array([part.band_multiplier(g.xi_coords[m0], j) for j in range(part.J + 1)])
+        assert np.count_nonzero((cut > 0) & (cut < 1)) == 2
+        for total, bands in zip(tab["total"], tab["bands"]):
+            assert np.max(np.abs(bands - total * np.abs(cut))) <= 1e-13 * total
 
 
 class TestPartition:
@@ -245,56 +253,28 @@ class TestPartition:
         assert set(active) <= {j0 - 1, j0, j0 + 1}
         assert j0 in active
 
-    def test_projection_partition_identity(self):
-        g = GridSpec(8.0, 256, 2.0 ** -6)
-        rng = np.random.default_rng(11)
-        vals = rng.standard_normal((256, 256)) * (1 + 1j)
-        X = spectral_coefficients(cwt_forward(Field2D(g, vals), W, np.array([0.5, 1.0])))
-        part = make_partition(g.h, 1)
-        total = None
-        for j in range(part.J + 1):
-            pj = dyadic_project(X, part, j)
-            total = pj.values if total is None else tuple(a + b for a, b in zip(total, pj.values))
-        band = np.abs(g.xi_coords) <= 1.0
-        for t, x in zip(total, X.values):
-            assert np.max(np.abs((t - x)[:, band])) <= 1e-10 * max(1.0, np.max(np.abs(x)))
-
     def test_band_index_range(self):
-        g = GridSpec(8.0, 256, 2.0 ** -6)
-        X = spectral_coefficients(cwt_forward(packet(g), W, np.array([0.5, 1.0])))
-        part = make_partition(g.h, 1)
+        # negative bands are refused; bands beyond J are allowed (kernel probes)
+        part = make_partition(2.0 ** -6, 1)
+        xi = np.linspace(-1.0, 1.0, 9)
         with pytest.raises(ValueError):
-            dyadic_project(X, part, part.J + 1)
-        with pytest.raises(ValueError):
-            dyadic_project(X, part, -1)
-
-    def test_projection_needs_spectral_domain(self):
-        g = GridSpec(8.0, 256, 2.0 ** -6)
-        X = cwt_forward(packet(g), W, np.array([0.5, 1.0]))
-        with pytest.raises(ValueError):
-            dyadic_project(X, make_partition(g.h, 1), 0)
+            part.band_multiplier(xi, -1)
+        assert part.band_multiplier(xi, part.J + 1).shape == xi.shape
 
 
 class TestCoefficientNorms:
     def test_zero(self):
         g = GridSpec(4.0, 128, 0.1)
-        X = cwt_forward(Field2D(g, np.zeros((128, 128), complex)), W, np.array([0.3, 0.6]))
-        assert coefficient_norm(X, 0.3) == 0.0
+        tab = norms(Field2D(g, np.zeros((128, 128), complex)), np.array([0.3, 0.6]))
+        assert np.all(tab["total"] == 0.0) and np.all(tab["bands"] == 0.0)
 
     def test_monotone_under_projection(self):
         g = GridSpec(8.0, 256, 2.0 ** -6)
-        X = spectral_coefficients(cwt_forward(packet(g), W, np.array([0.5, 1.0])))
-        part = make_partition(g.h, 1)
-        for j in range(part.J + 1):
-            assert coefficient_norm(dyadic_project(X, part, j), 0.5) <= coefficient_norm(X, 0.5) * (1 + 1e-12)
-
-    def test_nearest_scale_warns(self):
-        g = GridSpec(4.0, 128, 0.1)
-        X = cwt_forward(packet(g), W, np.array([0.3, 0.6]))
-        with pytest.warns(UserWarning):
-            coefficient_norm(X, 0.31)
+        tab = norms(packet(g), np.array([0.5, 1.0]))
+        assert np.all(tab["bands"] <= tab["total"][:, None] * (1 + 1e-12))
 
     def test_table_matches_explicit_path(self):
+        # the closed-form rescale of a carried spectrum against the samples
         g = GridSpec(8.0, 256, 2.0 ** -6)
         from qmlab.quasimodes import build_flat_quasimode
 
@@ -302,13 +282,12 @@ class TestCoefficientNorms:
         part = make_partition(g.h, 1)
         a_grid = np.array([0.5, 1.0, 2.0])
         tab = coefficient_norm_table(v, W, a_grid, part)
-        X = spectral_coefficients(cwt_forward(v, W, a_grid, method="fft"))
-        for i, a in enumerate(a_grid):
-            assert tab["total"][i] == pytest.approx(coefficient_norm(X, a), rel=1e-12)
+        assert v.samples_pending  # the table read the spectrum
+        ref = coefficient_norm_table(Field2D(g, v.values), W, a_grid, part)
+        for i in range(len(a_grid)):
+            assert tab["total"][i] == pytest.approx(ref["total"][i], rel=1e-12)
             for j in range(part.J + 1):
-                assert tab["bands"][i, j] == pytest.approx(
-                    coefficient_norm(dyadic_project(X, part, j), a), rel=1e-10, abs=1e-15)
-
+                assert tab["bands"][i, j] == pytest.approx(ref["bands"][i, j], rel=1e-12, abs=1e-15)
 
 # ---------------------------------------------------------------------------
 # oracle: the per-scale time-domain loop (one full-length inverse FFT per
@@ -408,29 +387,9 @@ class TestSpectralEngineOracle:
         err = cwt_roundtrip_error(v, w, a_grid, b_max_step=0.2)
         assert abs(err - oracle) <= 1e-12 * oracle
 
-    def test_fft_forward_and_inverse(self, w):
-        v = self.field()
-        out, slices = _oracle_roundtrip(v, w, self.a_grid)
-        X = cwt_forward(v, w, self.a_grid, method="fft")
-        for got, want in zip(X.values, slices):
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        back = cwt_inverse(X, w).values
-        assert np.linalg.norm(back - out) <= 1e-12 * np.linalg.norm(out)
-
     def test_norm_table(self, w):
         v = self.field()
         part = make_partition(self.g.h, 1)
-        mults = np.stack([part.band_multiplier(self.g.xi_coords, j) for j in range(part.J + 1)])
         _, slices = _oracle_roundtrip(v, w, self.a_grid)
         tab = coefficient_norm_table(v, w, self.a_grid, part)
-        scale = max(np.max(tab["total"]), np.max(tab["bands"]))
-        for i, a in enumerate(self.a_grid):
-            spec = sfft1d(slices[i], self.g, axis=1)
-            db = _oracle_stride(self.g, a) * self.g.dx
-            total = np.sqrt(np.sum(np.abs(spec) ** 2) * db * self.g.dxi)
-            power = np.sum(np.abs(spec) ** 2, axis=0)
-            assert abs(tab["total"][i] - total) <= 1e-12 * scale
-            for j in range(part.J + 1):
-                band = np.sqrt(np.sum(power * mults[j] ** 2) * db * self.g.dxi)
-                assert abs(tab["bands"][i, j] - band) <= 1e-12 * scale
+        _assert_table_equals(tab, *_oracle_norms(slices, self.g, self.a_grid, part), 1e-12)
