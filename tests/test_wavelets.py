@@ -18,6 +18,7 @@ from qmlab.wavelets import (
     make_partition,
     partition_sum,
 )
+from qmlab.wavelets import _stuffed_spectrum, _synthesis_weights, _window_spectra
 
 W = default_wavelet()
 
@@ -386,6 +387,30 @@ class TestSpectralEngineOracle:
         oracle = float(np.linalg.norm(out - v.values) / np.linalg.norm(v.values))
         err = cwt_roundtrip_error(v, w, a_grid, b_max_step=0.2)
         assert abs(err - oracle) <= 1e-12 * oracle
+
+    def test_fft_forward_and_inverse(self, w):
+        # the engine's analysis (window spectra, alias fold or ifft/fft pair)
+        # gives the oracle's slices, and its synthesis (khat of the raw
+        # samples, trapezoid weights) of those slices gives the oracle's field
+        v = self.field()
+        out, slices = _oracle_roundtrip(v, w, self.a_grid)
+        n = self.g.n
+        strides = np.array([_oracle_stride(self.g, a) for a in self.a_grid])
+        an, syn = _window_spectra(w, self.g, self.a_grid)
+        syn *= _synthesis_weights(w, self.a_grid, strides * self.g.dx)[:, None]
+        vhat = np.fft.fft(v.values, axis=0)
+        back = np.zeros_like(vhat)
+        for i, (s, want) in enumerate(zip(strides, slices)):
+            z = _stuffed_spectrum(vhat * an[i][:, None], s)
+            if n % s == 0:
+                got, z = np.fft.ifft(z, axis=0), np.tile(z, (s, 1))
+            else:
+                got = np.fft.ifft(z, axis=0)[::s]
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            back += z * syn[i][:, None]
+        back = np.fft.ifft(back, axis=0)
+        assert np.linalg.norm(back - out) <= 1e-12 * np.linalg.norm(out)
 
     def test_norm_table(self, w):
         v = self.field()
