@@ -130,8 +130,8 @@ class HamiltonianFlow:
     Snapshots at the saved x1 values are kept per xi2 column, (n_save, nxi):
     the momentum xi, which does not depend on y0, and the coefficients of the
     positions y = E y0 + F (E = dy_dy0) and the action
-    S = Int (xi a_xi - a) dt = G y0 + H; ``y_of`` and ``action`` form those
-    on the mesh.  A flow made from its graph and step alone only evaluates.
+    S = Int (xi a_xi - a) dt = G y0 + H.  A flow made from its graph and step
+    alone only evaluates.
     """
 
     graph: GraphFn
@@ -147,14 +147,6 @@ class HamiltonianFlow:
     box_half_width: float | None = None
     exited_box: np.ndarray | None = None
     energy_drift: float = 0.0
-
-    @property
-    def y_of(self) -> np.ndarray:  # E y0 + F, (n_save, ny, nxi)
-        return _on_mesh(self.dy_dy0, self.y_shift, self.y_init)
-
-    @property
-    def action(self) -> np.ndarray:  # G y0 + H, (n_save, ny, nxi)
-        return _on_mesh(self.action_slope, self.action_shift, self.y_init)
 
     def evaluate(self, y0, xi0, x1: float):
         """Flow arbitrary initial data to time x1 by re-integration of (y, xi) alone."""

@@ -24,6 +24,8 @@ stride s then zero-stuffing folds the s aliases, (1/s) sum_r Y[(k mod M) + rM]
 with M = N/s, when s | N; other strides take one ifft/fft pair.  The
 pipeline reads it through :func:`cwt_roundtrip_error` (synthesis after
 analysis) and :func:`coefficient_norm_table` (per-scale, per-band norms).
+Both walk transposed (_BLOCK, N) slabs of x2 (or xi2) columns, every FFT on
+the contiguous x1 axis, in O(_BLOCK N) memory beside the (n_a, N) window spectra.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import Field2D, GridSpec, _alternating_signs, sfft1d, smoothstep
+from .grid import _BLOCK, Field2D, GridSpec, _alternating_signs, sfft1d, smoothstep
 
 __all__ = [
     "WaveletSpec",
@@ -120,7 +122,9 @@ def admissibility_constant(w: WaveletSpec, n_samples: int = 1 << 18,
     T = pad * w.support
     dt = 2.0 * T / n_samples
     t = -T + dt * np.arange(n_samples)
-    fs = np.asarray(w.f(t), dtype=np.complex128)
+    fs = np.zeros(n_samples, dtype=np.complex128)
+    inside = np.abs(t) <= w.support  # f vanishes outside its support
+    fs[inside] = w.f(t[inside])
     m = np.arange(-n_samples // 2, n_samples // 2)
     ph = np.where(m % 2 == 0, 1.0, -1.0)
     fhat = dt * ph * np.fft.fftshift(np.fft.fft(fs))
@@ -185,56 +189,70 @@ def _synthesis_weights(w: WaveletSpec, a_grid: np.ndarray, db: np.ndarray) -> np
     return da * db * a_grid ** -2.5 / (admissibility_constant(w) / 2.0)
 
 
-def _stuffed_spectrum(y: np.ndarray, stride: int) -> np.ndarray:
-    """x1 spectrum of ifft(y) decimated by ``stride`` and zero-stuffed back to N rows.
+def _slabs(src: np.ndarray):
+    """The columns of ``src`` as transposed (_BLOCK, N) slabs in one buffer, tile by tile."""
+    buf = np.empty((min(_BLOCK, src.shape[1]), len(src)), dtype=np.complex128)
+    for c0 in range(0, src.shape[1], _BLOCK):
+        slab = buf[:min(_BLOCK, src.shape[1] - c0)]
+        for r0 in range(0, len(src), _BLOCK):
+            slab[:, r0:r0 + _BLOCK] = src[r0:r0 + _BLOCK, c0:c0 + _BLOCK].T
+        yield c0, slab
 
-    For s | N, the alias fold (1/s) sum_r y[q + rM], M = N/s: the M-point
-    spectrum of the slice, repeated s times.  Else one ifft/fft pair, in y.
-    """
-    n = y.shape[0]
+
+def _stuffed_spectrum(y: np.ndarray, stride: int) -> np.ndarray:
+    """x1 spectrum (last axis) of ifft(y) decimated by ``stride``, zero-stuffed back:
+    for s | N the alias fold (1/s) sum_r y[..., q + rM], M = N/s (the M-point spectrum
+    of the slice, repeated s times), else one ifft/fft pair, in y."""
+    n = y.shape[-1]
     if n % stride == 0:
-        return y.reshape(stride, n // stride, -1).sum(axis=0) / stride
-    np.fft.ifft(y, axis=0, out=y)
-    y[np.arange(n) % stride != 0] = 0.0
-    return np.fft.fft(y, axis=0, out=y)
+        return y.reshape(*y.shape[:-1], stride, n // stride).sum(axis=-2) * (1.0 / stride)
+    np.fft.ifft(y, out=y)
+    for r in range(1, stride):
+        y[..., r::stride] = 0.0
+    return np.fft.fft(y, out=y)
 
 
 def cwt_roundtrip_error(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
                         b_max_step: float | None = None) -> float:
     """Relative L^2 error of synthesis-after-analysis, summed in the x1 spectrum.
 
-    The synthesis of the analysis slices (trapezoid da, per-scale uniform db,
-    weight a^{-5/2} / (C_f / 2)) in O(N^2) memory, never holding a slice or
-    the synthesized field.  ``b_max_step`` caps the translation step below
-    a/4.  Scales sharing a stride s | N add out[q + r'M] += sum_r T[r', r, q]
-    vhat[q + rM] with one (s, s, M) table T = (1/s) sum_a syn_a[q + r'M] an_a[q + rM],
-    so the N^2 work is done once per stride; the others take one ifft/fft pair each.
+    Synthesis of the analysis slices (trapezoid da, per-scale uniform db, weight
+    a^{-5/2} / (C_f / 2)) slab by slab, in three slabs of memory; ``b_max_step``
+    caps the translation step below a/4.  A stride s | N joins the largest stride
+    S | N it divides, M = N/S: out[q + r'M] += sum_r T[r', r, q] vhat[q + rM] with
+    T = sum_a syn_a[q + r'M] an_a[q + rM] / s over r' = r mod S/s, one table built
+    once; the other strides take one ifft/fft pair per slab each.
     """
     g = v.grid
     n = g.points_per_axis
     a_grid = _check_scales(g, a_grid)
+    if not v.values.any():
+        raise ValueError("CWT round-trip error of the zero field is undefined")
     strides = np.array([_b_stride(g, a, b_max_step) for a in a_grid])
     an, syn = _window_spectra(w, g, a_grid)
     syn *= _synthesis_weights(w, a_grid, strides * g.dx)[:, None]
-    vhat = np.fft.fft(v.values, axis=0)
-    out = np.zeros_like(vhat)
-    buf = np.empty_like(vhat)
-    for s in np.unique(strides):
-        idx = np.flatnonzero(strides == s)
-        if n % s:
-            for i in idx:
-                z = _stuffed_spectrum(np.multiply(vhat, an[i][:, None], out=buf), s)
-                out += np.multiply(z, syn[i][:, None], out=z)
-            continue
-        m = n // s
-        table = np.einsum("iam,ibm->abm", syn[idx].reshape(-1, s, m),
-                          an[idx].reshape(-1, s, m)) / s
-        for blk, row in zip(out.reshape(s, m, n), table):
-            for t, part in zip(row, vhat.reshape(s, m, n)):
-                blk += np.multiply(t[:, None], part, out=buf[:m])
-    np.fft.ifft(out, axis=0, out=out)
-    out -= v.values
-    return float(np.sqrt(np.vdot(out, out).real / np.vdot(v.values, v.values).real))
+    fold, tables = np.unique(strides[n % strides == 0]), {}
+    for s in fold:
+        big = fold[fold % s == 0].max()
+        same = np.subtract.outer(np.arange(big), np.arange(big)) % (big // s) == 0
+        pair = (c[strides == s].reshape(-1, big, n // big) for c in (syn, an))
+        tables[big] = tables.get(big, 0.0) + same[..., None] * np.einsum("iam,ibm->abm", *pair) / s
+    out, buf = np.empty((2, min(_BLOCK, n), n), dtype=np.complex128)
+    err2 = norm2 = 0.0
+    for _, x in _slabs(v.values):
+        np.fft.fft(x, out=x)
+        o, y = out[:len(x)], buf[:len(x)]
+        o[...] = 0.0
+        for t in tables.values():
+            o += np.einsum("abm,kbm->kam", t, x.reshape(len(x), len(t), -1),
+                           out=y.reshape(len(x), len(t), -1)).reshape(x.shape)
+        for i in np.flatnonzero(n % strides):
+            z = _stuffed_spectrum(np.multiply(x, an[i], out=y), strides[i])
+            o += np.multiply(z, syn[i], out=z)
+        o -= x
+        err2 += np.vdot(o, o).real
+        norm2 += np.vdot(x, x).real
+    return float(np.sqrt(err2 / norm2))
 
 
 # ---------------------------------------------------------------------------
@@ -306,33 +324,33 @@ def partition_sum(part: DyadicPartition, xi2: np.ndarray) -> np.ndarray:
 
 def coefficient_norm_table(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
                            part: DyadicPartition) -> dict:
-    """Per-scale, per-band L^2_{b, xi2} norms, one scale in memory at a time.
+    """Per-scale, per-band L^2_{b, xi2} norms, one scale of one slab at a time.
 
-    One 2-D transform up front (a rescaled carried spectrum while the samples
-    are pending); the power over b of each (scale, xi2) is Parseval's sum over the
-    folded spectrum for s | N, else the sum over the b lattice of one inverse
-    transform.  Returns 'total' (n_a,) and 'bands' (n_a, J + 1).
-    """
+    Slabs of the x1 spectrum of xi2 columns: a rescaled slice of the carried spectrum
+    while the samples are pending (O(_BLOCK N) memory), else the x1 transform of a
+    slice of the samples' x2 transform (one N^2 array).  The power over b of each
+    (scale, xi2) is Parseval's sum over the folded spectrum for s | N, else the sum
+    over the b lattice of one inverse transform.  Returns 'total' (n_a,) and 'bands'
+    (n_a, J + 1)."""
     g = v.grid
+    n = g.points_per_axis
     a_grid = _check_scales(g, a_grid)
     mults2 = np.stack([part.band_multiplier(g.xi_coords, j) ** 2 for j in range(part.J + 1)])
     an = _window_spectra(w, g, a_grid)[0]
-    if v.samples_pending:
-        ph = _alternating_signs(g.points_per_axis)[:, None]
-        spec = np.sqrt(2.0 * np.pi * g.h) / g.dx * np.fft.ifftshift(v.spectrum.values / ph, axes=0)
-    else:
-        spec = sfft1d(np.fft.fft(v.values, axis=0), g, axis=1)
-    buf = np.empty_like(spec)
+    rescale = np.fft.ifftshift(np.sqrt(2.0 * np.pi * g.h) / g.dx / _alternating_signs(n))
     strides = np.array([_b_stride(g, a, None) for a in a_grid])
-    power = np.empty((len(a_grid), g.points_per_axis))  # over b, per (scale, xi2)
-    for i, stride in enumerate(strides):
-        y = np.multiply(spec, an[i][:, None], out=buf)
-        if g.points_per_axis % stride:
-            z = np.fft.ifft(y, axis=0, out=y)[::stride]
-            power[i] = np.sum(z.real ** 2 + z.imag ** 2, axis=0)
+    power = np.empty((len(a_grid), n))  # over b, per (scale, xi2)
+    for c0, x in _slabs(v.spectrum.values if v.samples_pending else sfft1d(v.values, g, axis=1)):
+        if v.samples_pending:
+            x[...] = np.fft.ifftshift(x, axes=1) * rescale
         else:
-            z = _stuffed_spectrum(y, stride)
-            power[i] = np.sum(z.real ** 2 + z.imag ** 2, axis=0) / len(z)
-    power *= (strides * g.dx * g.dxi)[:, None]
+            np.fft.fft(x, out=x)
+        y = np.empty_like(x)
+        for i, s in enumerate(strides):
+            z = np.multiply(x, an[i], out=y)
+            z = np.fft.ifft(z, out=z)[:, ::s].copy() if n % s else _stuffed_spectrum(z, s)
+            power[i, c0:c0 + len(x)] = np.einsum("ij,ij->i", z.view(np.float64), z.view(np.float64))
+    # Parseval over a fold of M = N/s points divides by M
+    power *= (np.where(n % strides, 1.0, strides / n) * strides * g.dx * g.dxi)[:, None]
     bands = np.sqrt(np.sum(power[:, None, :] * mults2, axis=-1))
     return {"a": a_grid, "total": np.sqrt(power.sum(axis=1)), "bands": bands, "J": part.J}

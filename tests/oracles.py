@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from qmlab.grid import Field2D, GridSpec, semiclassical_fft
+from qmlab.propagator import _on_mesh
 
 
 def random_field(grid: GridSpec, seed: int = 0) -> Field2D:
@@ -93,3 +94,13 @@ def dense_left_quantization(sym, u: Field2D) -> Field2D:
             )
             out[i1, j0:j1] = np.einsum("xmn,mn,xn->x", p_block, w, E[j0:j1])
     return Field2D(g, out)
+
+
+def flow_positions(flow) -> np.ndarray:
+    """y = E y0 + F of a flow's snapshots on its (y0, xi0) mesh, (n_save, ny, nxi)."""
+    return _on_mesh(flow.dy_dy0, flow.y_shift, flow.y_init)
+
+
+def flow_action(flow) -> np.ndarray:
+    """S = G y0 + H of a flow's snapshots on its (y0, xi0) mesh, (n_save, ny, nxi)."""
+    return _on_mesh(flow.action_slope, flow.action_shift, flow.y_init)

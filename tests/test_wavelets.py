@@ -1,12 +1,21 @@
 """Wavelet layer: admissibility, transform identities, dyadic cutoffs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qmlab.grid import Field2D, GridSpec, SpectralField2D, semiclassical_ifft, sfft1d
+from qmlab.grid import (
+    _BLOCK,
+    Field2D,
+    GridSpec,
+    SpectralField2D,
+    semiclassical_fft,
+    semiclassical_ifft,
+    sfft1d,
+)
 from qmlab.wavelets import (
     UnderResolvedScaleError,
     WaveletSpec,
@@ -46,6 +55,20 @@ class TestWaveletSpec:
         assert c1 > 0
         assert abs(c1 - c2) / c2 <= 1e-6
 
+    def test_admissibility_reads_f_on_its_support_only(self):
+        # the samples outside the support are zero by the WaveletSpec contract,
+        # so skipping them leaves C_f bitwise equal to the full-lattice value
+        widest = []
+
+        def f(t):
+            widest.append(float(np.max(np.abs(t))))
+            return W.f(t)
+
+        w = WaveletSpec(f=f, antiderivative=W.antiderivative)
+        widest.clear()  # the zero-mean check of the constructor
+        assert admissibility_constant(w) == _full_lattice_admissibility(W)
+        assert 0.99 <= max(widest) <= w.support
+
     @pytest.mark.parametrize("s", [0.5, 0.25])
     def test_admissibility_scaling_law(self, s):
         # substitution in the defining integral: the L^2-normalized mother
@@ -64,6 +87,19 @@ class TestWaveletSpec:
             support=s,
         )
         assert admissibility_constant(l1_scaled) == pytest.approx(c, rel=1e-6)
+
+
+def _full_lattice_admissibility(w, n_samples=1 << 18, pad=512.0):
+    """admissibility_constant's quadrature with f evaluated at every sample."""
+    T = pad * w.support
+    dt = 2.0 * T / n_samples
+    m = np.arange(-n_samples // 2, n_samples // 2)
+    fs = np.asarray(w.f(-T + dt * np.arange(n_samples)), dtype=np.complex128)
+    fhat = dt * np.where(m % 2 == 0, 1.0, -1.0) * np.fft.fftshift(np.fft.fft(fs))
+    xi = np.pi * m / T
+    pos = xi > 0
+    half = np.concatenate(([0.0], np.abs(fhat[pos]) ** 2 / xi[pos]))
+    return 2.0 * float(np.trapezoid(half, np.concatenate(([0.0], xi[pos]))))
 
 
 def packet(grid, omega=3.0, width=0.8, x2_width=0.5):
@@ -177,6 +213,12 @@ class TestInverse:
                                 / np.sum(np.abs(v.values) ** 2)))
         err_str = cwt_roundtrip_error(v, W, a_grid)
         assert err_mat == pytest.approx(err_str, abs=1e-14)
+
+    def test_zero_field_refused(self):
+        # the relative error of the zero field is 0/0
+        g = GridSpec(4.0, 64, 0.1)
+        with pytest.raises(ValueError, match="zero field is undefined"):
+            cwt_roundtrip_error(Field2D(g, np.zeros((64, 64), complex)), W, np.array([0.3, 0.6]))
 
     def test_refinement_improves_roundtrip(self):
         errs = []
@@ -398,18 +440,18 @@ class TestSpectralEngineOracle:
         strides = np.array([_oracle_stride(self.g, a) for a in self.a_grid])
         an, syn = _window_spectra(w, self.g, self.a_grid)
         syn *= _synthesis_weights(w, self.a_grid, strides * self.g.dx)[:, None]
-        vhat = np.fft.fft(v.values, axis=0)
+        vhat = np.fft.fft(v.values.T)  # the engine's slab layout: x1 on the last axis
         back = np.zeros_like(vhat)
         for i, (s, want) in enumerate(zip(strides, slices)):
-            z = _stuffed_spectrum(vhat * an[i][:, None], s)
+            z = _stuffed_spectrum(vhat * an[i], s)
             if n % s == 0:
-                got, z = np.fft.ifft(z, axis=0), np.tile(z, (s, 1))
+                got, z = np.fft.ifft(z).T, np.tile(z, (1, s))
             else:
-                got = np.fft.ifft(z, axis=0)[::s]
+                got = np.fft.ifft(z)[:, ::s].T
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-            back += z * syn[i][:, None]
-        back = np.fft.ifft(back, axis=0)
+            back += z * syn[i]
+        back = np.fft.ifft(back).T
         assert np.linalg.norm(back - out) <= 1e-12 * np.linalg.norm(out)
 
     def test_norm_table(self, w):
@@ -418,3 +460,57 @@ class TestSpectralEngineOracle:
         _, slices = _oracle_roundtrip(v, w, self.a_grid)
         tab = coefficient_norm_table(v, w, self.a_grid, part)
         _assert_table_equals(tab, *_oracle_norms(slices, self.g, self.a_grid, part), 1e-12)
+
+
+@pytest.mark.parametrize("n", [80, 48], ids=["partial_last_slab", "one_narrow_slab"])
+class TestSlabEdges:
+    # N = 80 ends on a slab of 16 columns; N = 48 is one slab narrower than
+    # _BLOCK.  Both mix the alias fold (s | N) and the ifft/fft pair: strides
+    # 1..7 and 9 at dx = 0.075 (3, 6, 7, 9 do not divide 80), 1..5 at dx = 0.125
+    a_grid = default_scale_grid(0.3, 2.8, per_decade=12)
+
+    def field(self, n):
+        g = GridSpec(3.0, n, 0.1)
+        rng = np.random.default_rng(7)
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return Field2D(g, packet(g).values + 0.05 * noise)
+
+    def test_block_layout(self, n):
+        strides = {_oracle_stride(self.field(n).grid, a) for a in self.a_grid}
+        assert n % _BLOCK if n > _BLOCK else n < _BLOCK
+        assert any(n % s for s in strides) and any(n % s == 0 for s in strides if s > 1)
+
+    def test_roundtrip_error(self, n):
+        v = self.field(n)
+        out, _ = _oracle_roundtrip(v, W, self.a_grid)
+        oracle = float(np.linalg.norm(out - v.values) / np.linalg.norm(v.values))
+        assert abs(cwt_roundtrip_error(v, W, self.a_grid) - oracle) <= 1e-12 * oracle
+
+    def test_norm_table_pending_and_sampled(self, n):
+        sampled = self.field(n)
+        g = sampled.grid
+        part = make_partition(g.h, 1)
+        pending = semiclassical_ifft(semiclassical_fft(sampled))
+        tab = coefficient_norm_table(pending, W, self.a_grid, part)
+        assert pending.samples_pending  # the table read the carried spectrum
+        _, slices = _oracle_roundtrip(sampled, W, self.a_grid)
+        want = _oracle_norms(slices, g, self.a_grid, part)
+        _assert_table_equals(tab, *want, 1e-12)
+        _assert_table_equals(coefficient_norm_table(sampled, W, self.a_grid, part), *want, 1e-12)
+
+
+def test_roundtrip_holds_no_square_array():
+    # three (_BLOCK, N) slabs and the (n_a, N) window spectra: at N = 1024 a
+    # quarter of one N^2 complex array (at N = 512 three slabs alone are 3/8)
+    g = GridSpec(3.0, 1024, 0.05)
+    v = packet(g, omega=6.0, width=0.7)
+    a_grid = default_scale_grid(0.05, 0.5, per_decade=8)  # strides 2, 3 and 4
+    assert {_oracle_stride(g, a, 1.0 / 40.0) for a in a_grid} == {2, 3, 4}
+    cwt_roundtrip_error(v, W, a_grid, b_max_step=1.0 / 40.0)  # FFT plans and caches
+    tracemalloc.start()
+    try:
+        cwt_roundtrip_error(v, W, a_grid, b_max_step=1.0 / 40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 ** 2 * 16 / 4
