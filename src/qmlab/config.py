@@ -379,7 +379,6 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
     rows: dict = {}
     fld = None
     alpha = None
-    w = wavelets.default_wavelet()
     for stage in cfg.stages:
         p = stage.params
         # parse_config has typed every parameter (_STAGE_KEYS)
@@ -416,7 +415,7 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
             part = wavelets.make_partition(h, k)
             a_grid = wavelets.default_scale_grid(h ** p.get("a_min_pow", 0.6), p.get("a_max", 4.0),
                                                  per_decade=p.get("per_decade", 24))
-            tab = wavelets.coefficient_norm_table(fld, w, a_grid, part)
+            tab = wavelets.coefficient_norm_table(fld, wavelets.default_wavelet(), a_grid, part)
             a = tab["a"]
             iref = int(np.argmin(np.abs(a - p.get("reference_a", 1.0))))
             c_ref = tab["bands"][iref, 0] / a[iref] ** 1.5
@@ -445,7 +444,8 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
                     a_list.append(h ** float(tok[2:]))
                 else:
                     a_list.append(float(tok))
-            samples = estimates.default_kernel_samples(graph, w, part, j_list, a_list)
+            samples = estimates.default_kernel_samples(graph, wavelets.default_wavelet(), part,
+                                                      j_list, a_list)
             for s in samples:
                 rows[(f"kernel_sup(a={s.a:.6g},t={s.t:.6g},{s.regime})",
                       None, k, s.j, None)] = s.sup_abs

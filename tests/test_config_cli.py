@@ -1,5 +1,6 @@
 """Config grammar, pipeline validation, CLI subcommands, determinism."""
 
+import os
 import subprocess
 import sys
 import warnings
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qmlab
 from qmlab.cli import load_shipped_config, main, shipped_config_names
 from qmlab.config import (
     ConfigError,
@@ -400,6 +402,26 @@ def _run_sweep_subprocess(tmp_path, tag):
         check=True, capture_output=True,
     )
     return (out / "thm1_k1.csv").read_bytes()
+
+
+def test_library_imports_numpy_only():
+    # a fresh interpreter: the CLI, a config without and a config with a wavelet
+    # stage load no third-party package beside NumPy (SciPy is for the benchmark)
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from qmlab.cli import load_shipped_config\n"
+        "from qmlab.config import parse_config, run\n"
+        "for name in ('egorov_contact', 'cwt_decay'):\n"
+        "    assert run(parse_config(load_shipped_config(name))).passed, name\n"
+        "top = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(top - set(sys.stdlib_module_names) - {'qmlab', 'numpy'}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(qmlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=env)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestDeterminism:

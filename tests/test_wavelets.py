@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from qmlab.grid import (
     _BLOCK,
@@ -34,8 +33,9 @@ W = default_wavelet()
 
 class TestWaveletSpec:
     def test_zero_mean_and_antiderivative(self):
-        mean, _ = quad(lambda t: float(np.real(W.f(t))), -1, 1, limit=200)
-        assert abs(mean) <= 1e-12
+        # 8 Gauss-Legendre nodes integrate the degree-7 polynomial exactly
+        t8, w8 = np.polynomial.legendre.leggauss(8)
+        assert abs(np.dot(w8, W.f(t8))) <= 1e-12
         t = np.linspace(-0.999, 0.999, 501)
         g = W.antiderivative
         dg = (np.asarray(g(t + 1e-6)) - np.asarray(g(t - 1e-6))) / 2e-6
@@ -48,6 +48,25 @@ class TestWaveletSpec:
                 f=lambda t: np.where(np.abs(np.asarray(t)) <= 1.0, 1.0 - np.asarray(t) ** 2, 0.0),
                 antiderivative=lambda t: 0.0 * np.asarray(t),
             )
+
+    def test_mean_rule_scales_with_support(self):
+        # Int_{-1/2}^{1/2} (1 - 4t^2)^4 dt = (1/2) 256/315: the rule reads it on the
+        # support, so the window minus its average (the box has length 1) is accepted
+        bump = lambda t: (1.0 - 4.0 * np.asarray(t) ** 2) ** 4
+        flat = lambda t: 0.0 * np.asarray(t)
+        with pytest.raises(ValueError, match=f"got {128.0 / 315.0:.3e}"):
+            WaveletSpec(f=bump, antiderivative=flat, support=0.5)
+        WaveletSpec(f=lambda t: bump(t) - 128.0 / 315.0, antiderivative=flat, support=0.5)
+
+    def test_mean_offset_rejected(self):
+        # Int 1e-9 (1 - t^2) = 1.33e-9, above the 1e-12 threshold
+        with pytest.raises(ValueError, match="zero mean, got 1.333e-09"):
+            WaveletSpec(f=lambda t: W.f(t) + 1e-9 * (1.0 - np.asarray(t) ** 2),
+                        antiderivative=W.antiderivative)
+
+    def test_asymmetric_wavelet_accepted(self):
+        # zero mean though not odd: only the rule's accuracy makes it pass
+        assert _asymmetric_wavelet().label == "asymmetric"
 
     def test_admissibility_refinement(self):
         c1 = admissibility_constant(W)
@@ -306,6 +325,23 @@ class TestPartition:
 
 
 class TestCoefficientNorms:
+    def test_sampled_field_holds_one_square_array(self):
+        # the samples' x2 FFT is the one N^2 complex array; shift and scale go per slab
+        g = GridSpec(8.0, 1024, 2.0 ** -6)
+        from qmlab.quasimodes import build_flat_quasimode
+
+        v = Field2D(g, build_flat_quasimode(g, 1).values)
+        a_grid = default_scale_grid(g.h ** 0.6, 4.0, per_decade=24)  # cwt_decay's 42 scales
+        part = make_partition(g.h, 1)
+        coefficient_norm_table(v, W, a_grid, part)  # FFT plans and caches
+        tracemalloc.start()
+        try:
+            coefficient_norm_table(v, W, a_grid, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 1024 ** 2 * 16
+
     def test_zero(self):
         g = GridSpec(4.0, 128, 0.1)
         tab = norms(Field2D(g, np.zeros((128, 128), complex)), np.array([0.3, 0.6]))
