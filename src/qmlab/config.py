@@ -180,8 +180,8 @@ _STAGE_KEYS = {
 }
 _STAGE_LIST_KEYS = {"p", "j_list", "a_list", "k_list", "x1_list", "powers"}
 _ASSERT_KEYS = {
-    "slope": {"quantity", "p", "expected", "tol"},
-    "slope_min": {"quantity", "p", "expected", "tol"},
+    "slope": {"quantity", "p", "k", "alpha", "expected", "tol"},
+    "slope_min": {"quantity", "p", "k", "alpha", "expected", "tol"},
     "value_max": {"quantity", "limit"},
     "value_min": {"quantity", "limit"},
     "ratio_spread": {"quantity", "limit"},
@@ -504,26 +504,32 @@ class RunReport:
         return all(a.passed for a in self.assertions)
 
 
-def _collect(rows, quantity: str, p=None):
-    """(h, value) pairs for a quantity (exact match) across successful rows.
+_SLOTS = {"p": 1, "k": 2, "alpha": 4}  # assertion selector -> measurement key slot
 
-    Without ``p`` the quantity must carry a single p: pairs from several p
-    would be fitted as one power law, so that is refused.
+
+def _collect(rows, quantity: str, select: dict):
+    """(h, value) pairs for a quantity (exact match) across successful rows, at
+    the p, k and alpha that ``select`` names.
+
+    A slot it does not name must carry a single value: pairs from several p, k
+    or alpha would be fitted as one power law, so that is refused.
     """
-    out = []
-    found = set()
+    out, found = [], {slot: set() for slot in _SLOTS}
     for row in rows:
         if row.error:
             continue
         for key, val in row.measurements.items():
-            q, kp = key[0], key[1]
-            if q == quantity and (p is None or (kp is not None and float(kp) == float(p))
-                                  or (p == math.inf and kp == math.inf)):
+            if key[0] == quantity and all(key[i] is not None and float(key[i]) == float(select[s])
+                                          for s, i in _SLOTS.items() if s in select):
                 out.append((row.h, val))
-                found.add(kp)
-    if p is None and len(found) > 1:
-        listed = ", ".join(f"{v:g}" for v in sorted(found))
-        raise ConfigError([f"{quantity} is measured at p = {listed}; the assertion must name one p"])
+                for s, i in _SLOTS.items():
+                    found[s].add(key[i])
+    for s, vals in found.items():
+        if s not in select and len(vals) > 1:
+            listed = ", ".join("none" if v is None else f"{v:g}"
+                               for v in sorted(vals, key=lambda v: -math.inf if v is None else v))
+            raise ConfigError([f"{quantity} is measured at {s} = {listed}; "
+                               f"the assertion must name one {s}"])
     return out
 
 
@@ -544,7 +550,7 @@ def evaluate_assertions(cfg: ExperimentConfig, rows) -> list[AssertionResult]:
         kind, p = spec.kind, spec.params
         try:
             if kind in ("slope", "slope_min"):
-                data = _collect(rows, str(p["quantity"]), p.get("p"))
+                data = _collect(rows, str(p["quantity"]), {s: p[s] for s in _SLOTS if s in p})
                 fit = estimates.fit_power_law(data, quantity=str(p["quantity"]))
                 expected = float(p["expected"])
                 tol = float(p.get("tol", 0.05))

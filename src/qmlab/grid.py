@@ -11,9 +11,12 @@ is exactly unitary at the discrete level (dx * dxi * N = 2 pi h per axis).
 
 A field made by :func:`semiclassical_ifft` keeps its spectrum and synthesizes
 its samples on their first read; every other construction leaves it ``None``.
-Consumers such as the defect measurements read a carried spectrum instead of
-transforming, so a field that nobody samples is never synthesized.  Its L^p
-norms stream the synthesis in blocks of x2 columns and never hold the field.
+A spectrum carries its support as a box, a dense block at a lattice origin; the
+T_alpha indicator's box is its sector's, and its N^2 array is made only when read.
+Defects read the block; :func:`lp_norms` never holds the field: p = inf of a
+non-negative spectrum is u(0), an even p is summed on M_i >= (p/2)(b_i - 1) + 1
+points per axis, free of aliasing (Orszag 1971; Boyd 2001, ch. 11), and any
+other p streams the N-lattice synthesis in blocks of x2 columns.
 
 All operations are pure functions; fields are immutable after construction
 and norms use numpy's fixed-order pairwise summation, so results are
@@ -98,10 +101,6 @@ class GridSpec:
         return self.points_per_axis
 
     @property
-    def length(self) -> float:
-        return self.half_width
-
-    @property
     def dx(self) -> float:
         return 2.0 * self.half_width / self.points_per_axis
 
@@ -138,10 +137,10 @@ class GridSpec:
         return np.meshgrid(x, x, indexing="ij")
 
 
-def _check_values(grid: GridSpec, values: np.ndarray, what: str) -> np.ndarray:
+def _check_values(grid: GridSpec, values: np.ndarray, what: str, square=True) -> np.ndarray:
     values = np.asarray(values, dtype=np.complex128)
     n = grid.points_per_axis
-    if values.shape != (n, n):
+    if square and values.shape != (n, n):
         raise GridError(f"{what} shape {values.shape} != grid shape {(n, n)}")
     if not np.all(np.isfinite(values.view(np.float64))):
         raise GridError(f"{what} contains non-finite entries")
@@ -183,19 +182,36 @@ class Field2D:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2)) * self.grid.dx)
 
 
-@dataclass(frozen=True)
 class SpectralField2D:
-    """Samples on the centered frequency lattice xi_m = pi*h*m/L, m in [-N/2, N/2)."""
+    """Samples on the centered frequency lattice xi_m = pi*h*m/L, m in [-N/2, N/2).
 
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-    warnings: tuple[str, ...] = ()
+    Zero off its ``box`` = (block, origin): a given ``block`` whose [0, 0] sits at
+    lattice index ``origin`` and whose N^2 ``values`` are made on first read, or
+    given ``values`` whole, at (0, 0).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.grid, self.values, "spectrum"))
+    def __init__(self, grid: GridSpec, values: np.ndarray | None = None,
+                 warnings: tuple[str, ...] = (), *, block: np.ndarray | None = None,
+                 origin: tuple[int, int] = (0, 0)):
+        self.grid, self.warnings = grid, tuple(warnings)
+        if block is None:
+            self.values = _check_values(grid, values, "spectrum")
+            self.box = (self.values, (0, 0))
+        elif min(origin) < 0 or max(o + b for o, b in zip(origin, np.shape(block))) > grid.n:
+            raise GridError(f"block {np.shape(block)} at {origin} leaves the lattice")
+        else:
+            self.box = (_check_values(grid, block, "spectrum", False), tuple(map(int, origin)))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        (block, (o1, o2)), n = self.box, self.grid.n
+        out = np.zeros((n, n), dtype=np.complex128)
+        out[o1:o1 + block.shape[0], o2:o2 + block.shape[1]] = block
+        out.setflags(write=False)
+        return out
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2)) * self.grid.dxi)
+        return float(np.sqrt(np.sum(np.abs(self.box[0]) ** 2)) * self.grid.dxi)
 
 
 def semiclassical_fft(u: Field2D) -> SpectralField2D:
@@ -222,22 +238,24 @@ def semiclassical_ifft(spec: SpectralField2D) -> Field2D:
     return Field2D(spec.grid, None, spec)
 
 
-def _column_blocks(spec: SpectralField2D):
-    """The synthesized field as transposed (_BLOCK, N) slabs of x2 columns in one
-    reused buffer.  ifft2's axis-1 pass runs on the nonzero rows only (a zero
-    row stays zero); each slab then takes the axis-0 pass, the same 1-D
-    transform per column along its contiguous axis, so samples equal ifft2's."""
+def _column_blocks(spec: SpectralField2D, m1: int, m2: int):
+    """u on the m1 x m2 lattice x = -L + j 2L/m_i (its samples for m_i = N), as transposed
+    (_BLOCK, m1) slabs of x2 columns in one reused buffer.  Box index m lands at m mod m_i
+    (apart for m_i >= b_i); each box row, zero-padded, takes ifft2's axis-1 pass and each
+    slab the axis-0 pass along its contiguous axis: on the N lattice, ifft2's samples."""
     g = spec.grid
     n = g.points_per_axis
     ph = _alternating_signs(n)
-    coef = g.dx ** 2 / (2.0 * np.pi * g.h)
-    rows = np.flatnonzero(spec.values.any(axis=1))
-    part = spec.values[rows] / (coef * ph[rows, None] * ph[None, :])
-    part = np.fft.ifft(np.fft.ifftshift(part, axes=1), axis=1)
-    rows = (rows + n // 2) % n
-    buf = np.empty((_BLOCK, n), dtype=np.complex128)
-    for c0 in range(0, n, _BLOCK):
-        blk = buf[:min(_BLOCK, n - c0)]
+    coef = g.dx ** 2 / (2.0 * np.pi * g.h) * (n / m1) * (n / m2)
+    block, (o1, o2) = spec.box
+    r, c = np.arange(o1, o1 + block.shape[0]), np.arange(o2, o2 + block.shape[1])
+    part = np.zeros((len(r), m2), dtype=np.complex128)
+    part[:, (c - n // 2) % m2] = block / (coef * ph[r, None] * ph[None, c])
+    part = np.fft.ifft(part, axis=1, out=part)
+    rows = (r - n // 2) % m1
+    buf = np.empty((_BLOCK, m1), dtype=np.complex128)
+    for c0 in range(0, m2, _BLOCK):
+        blk = buf[:min(_BLOCK, m2 - c0)]
         blk[...] = 0.0
         blk[:, rows] = part[:, c0:c0 + len(blk)].T
         yield np.fft.ifft(blk, axis=1, out=blk)
@@ -246,7 +264,7 @@ def _column_blocks(spec: SpectralField2D):
 def _synthesize(spec: SpectralField2D) -> np.ndarray:
     n = spec.grid.points_per_axis
     out = np.empty((n, n), dtype=np.complex128)
-    for c0, blk in zip(range(0, n, _BLOCK), _column_blocks(spec)):
+    for c0, blk in zip(range(0, n, _BLOCK), _column_blocks(spec, n, n)):
         out[:, c0:c0 + len(blk)] = blk.T
     return out
 
@@ -273,23 +291,57 @@ def isfft1d(values: np.ndarray, grid: GridSpec, axis: int = -1) -> np.ndarray:
     return np.fft.ifft(np.fft.ifftshift(values / (coef * ph.reshape(shape)), axes=axis), axis=axis)
 
 
+def _alias_free_length(b: int, p: int, n: int) -> int:
+    """Smallest 5-smooth M >= (p/2)(b - 1) + 1 (M | 30^k), or N where that is not smaller."""
+    m = max(1, p // 2 * (b - 1) + 1)
+    while m < n and 30 ** m.bit_length() % m:
+        m += 1
+    return min(m, n)
+
+
 def lp_norms(u: Field2D, ps) -> list[float]:
-    """Riemann-sum L^p norms for every p in ``ps`` in one pass; max of |u| for
-    p = inf.  Existing samples are reduced as one block; pending samples are
-    streamed from :func:`_column_blocks`, checked finite, and stay pending."""
+    """Riemann-sum L^p norms on the N^2 lattice for every p in ``ps``; max of |u|
+    for p = inf.  Existing samples are reduced as one block.  Pending samples stay
+    pending; each p takes one rule, read off p and the spectrum's box B (b1 x b2):
+    - p = inf of a real non-negative spectrum S: u(0) = sum S dxi^2 / (2 pi h),
+      a lattice value that bounds |u|;
+    - an even integer p: |u|^p = u^(p/2) conj(u)^(p/2) has its spectrum in
+      (p/2)(B - B), so the N-lattice sum is (N/M1)(N/M2) times the sum on any
+      M1 x M2 lattice with M_i >= (p/2)(b_i - 1) + 1 (zero padding against
+      aliasing: Orszag, J. Atmos. Sci. 28, 1971; Boyd, Chebyshev and Fourier
+      Spectral Methods, 2nd ed., 2001, ch. 11); M_i is the smallest 5-smooth such
+      length, or N where that is not smaller;
+    - any other p: the N lattice.
+    Each lattice streams its synthesis from :func:`_column_blocks`, checked finite;
+    a non-finite norm (an overflowing synthesis or power sum) is refused."""
     ps = list(ps)
     for p in ps:
         if isinstance(p, bool) or not isinstance(p, numbers.Real) or not p >= 1:
             raise ValueError(f"lp_norm requires a real p >= 1, got {p!r}")
-    peak, sums = 0.0, dict.fromkeys((p for p in ps if not np.isinf(p)), 0.0)
-    pending = u.samples_pending
-    for blk in _column_blocks(u.spectrum) if pending else (u.values,):
-        if pending and not np.all(np.isfinite(blk.view(np.float64))):
-            raise GridError("field contains non-finite entries")
-        mod = np.abs(blk)
-        peak = max(peak, mod.max())
-        sums = {p: s + np.sum(mod ** p) for p, s in sums.items()}
-    return [float(peak if np.isinf(p) else (sums[p] * u.grid.dx ** 2) ** (1.0 / p)) for p in ps]
+    g, n = u.grid, u.grid.points_per_axis
+    block = u.spectrum.box[0] if u.samples_pending else None
+    out, lattices = {}, {}
+    for p in ps:
+        if block is not None and np.isinf(p) and np.all(block == np.abs(block)):  # S >= 0
+            out[p] = float(np.sum(block.real) * (g.dxi ** 2 / (2.0 * np.pi * g.h)))
+            continue
+        even = float(p).is_integer() and p % 2 == 0
+        lattices.setdefault(None if block is None else tuple(
+            _alias_free_length(b, int(p), n) if even else n for b in block.shape), []).append(p)
+    for lattice, group in lattices.items():
+        peak, sums = 0.0, dict.fromkeys((p for p in group if not np.isinf(p)), 0.0)
+        for blk in (u.values,) if lattice is None else _column_blocks(u.spectrum, *lattice):
+            if lattice is not None and not np.all(np.isfinite(blk.view(np.float64))):
+                raise GridError("field contains non-finite entries")
+            mod = np.abs(blk)
+            peak = max(peak, mod.max())
+            sums = {p: s + np.sum(mod ** p) for p, s in sums.items()}
+        m1, m2 = lattice or (n, n)
+        cell = g.dx ** 2 * (n / m1) * (n / m2)
+        out.update((p, float(peak if np.isinf(p) else (sums[p] * cell) ** (1 / p))) for p in group)
+    if not all(np.isfinite(v) for v in out.values()):
+        raise GridError("non-finite L^p norm: the synthesis or its power sum overflows")
+    return [out[p] for p in ps]
 
 
 def lp_norm(u: Field2D, p: float) -> float:

@@ -114,22 +114,21 @@ def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec) -> SpectralField2D:
             f"{2 * h / grid.dxi:.1f} radial lattice lines",
             stacklevel=2,
         )
-    # The polar rectangle lies within h + 2 sin(arc/2) <= h + arc of omega0 and
-    # both edge modes are exactly 0 outside it, so the lattice box of that
-    # reach (with margin) gives the full-mesh values bit for bit.
-    xi = grid.xi_coords
-    arc = h ** alpha
-    reach = (1.0 + h) * arc + h
-    box = []
-    for c in spec.omega0:
-        idx = np.flatnonzero(np.abs(xi - c) <= reach)
-        box.append(slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0))
-    box = tuple(box)
+    # The sector's coordinate bounding box is spanned by its corners and, at both
+    # radii, the axis directions inside its arc.  Both edge modes are exactly 0
+    # outside it, so its lattice box, two lines wider, gives the full-mesh values.
+    n, xi, arc = grid.n, grid.xi_coords, h ** alpha
+    theta0 = math.atan2(spec.omega0[1], spec.omega0[0])
+    angles = [theta0 - arc, theta0 + arc] + [q * math.pi / 2 for q in range(4) if abs(
+        math.remainder(q * math.pi / 2 - theta0, 2 * math.pi)) <= arc]
+    corners = [(r * math.cos(t), r * math.sin(t)) for r in (1.0 - h, 1.0 + h) for t in angles]
+    box = tuple(slice(max(0, math.floor(min(c) / grid.dxi) - 2 + n // 2),
+                      max(0, min(n, math.ceil(max(c) / grid.dxi) + 3 + n // 2)))
+                for c in zip(*corners))
     xi1, xi2 = np.meshgrid(xi[box[0]], xi[box[1]], indexing="ij")
     rr = np.hypot(xi1, xi2)
     # both edge modes are exactly 0 off the ring |r - 1| < h, whatever the angle
     ring = np.abs(rr - 1.0) < h
-    theta0 = math.atan2(spec.omega0[1], spec.omega0[0])
     ang = np.full(rr.shape, np.inf)
     ang[ring] = np.abs(np.angle(np.exp(1j * (np.arctan2(xi2[ring], xi1[ring]) - theta0))))
     if spec.smoothed_edges:
@@ -146,11 +145,9 @@ def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec) -> SpectralField2D:
         )
     inside = inside * (1.0 / (np.sqrt(np.sum(inside ** 2)) * grid.dxi)
                        if spec.normalization == "unit_l2" else h ** (-0.5 - alpha))
-    vals = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    vals[box] = inside
-    return SpectralField2D(grid, vals, () if grid.resolves_unit_band else (
+    return SpectralField2D(grid, None, () if grid.resolves_unit_band else (
         "frequency lattice does not cover [-2, 2]^2",
-    ))
+    ), block=inside, origin=(box[0].start, box[1].start))
 
 
 def build_t_alpha(spec: TAlphaSpec, grid: GridSpec) -> Field2D:
@@ -185,7 +182,7 @@ def _defect_report(label: str, powers: tuple[int, int], factors, u: Field2D) -> 
     """||p_last^M_last ... p_first^M_first u|| / ||u|| for factors [(p, M), ...].
 
     When u carries its spectrum and no factor depends on x, the product of
-    multipliers is evaluated on the spectrum's nonzero support only
+    multipliers is evaluated on the nonzero entries of the spectrum's box only
     (discrete Plancherel); otherwise each power is applied in x space by
     :func:`apply_left_quantization`, which quantizes an x-dependent catalog
     graph symbol as separated multipliers and refuses any other x-dependent
@@ -193,15 +190,14 @@ def _defect_report(label: str, powers: tuple[int, int], factors, u: Field2D) -> 
     """
     spec = u.spectrum
     if spec is not None and not any(sym.x_dependent for sym, _ in factors):
-        rows = np.flatnonzero(spec.values.any(axis=1))
-        i1, i2 = np.nonzero(spec.values[rows])
-        i1 = rows[i1]
+        block, (o1, o2) = spec.box
+        i1, i2 = np.nonzero(block)
         if i1.size == 0:
             raise ValueError("defect of the zero field is undefined")
         xi = u.grid.xi_coords
-        w = v = spec.values[i1, i2]
+        w = v = block[i1, i2]
         for sym, power in factors:
-            mult = np.asarray(sym.value(0.0, 0.0, xi[i1], xi[i2]), dtype=np.complex128)
+            mult = np.asarray(sym.value(0.0, 0.0, xi[i1 + o1], xi[i2 + o2]), dtype=np.complex128)
             for _ in range(power):
                 v = v * mult
         d = float(np.sqrt(np.sum(np.abs(v) ** 2)) / np.sqrt(np.sum(np.abs(w) ** 2)))

@@ -47,7 +47,6 @@ __all__ = [
     "default_scale_grid",
     "cwt_roundtrip_error",
     "make_partition",
-    "partition_sum",
     "coefficient_norm_table",
     "UnderResolvedScaleError",
 ]
@@ -172,21 +171,23 @@ def _check_scales(grid: GridSpec, a_grid: np.ndarray) -> np.ndarray:
     return a_grid
 
 
-def _window_spectra(w: WaveletSpec, grid: GridSpec, a_grid: np.ndarray) -> tuple:
-    """Analysis (dx / sqrt(a)) conj(khat) of the window samples re-centered to
-    exact zero discrete mean, and synthesis khat of the raw samples f(m dx / a),
-    m = -M..M with M = floor(a support / dx); (n_a, N) each."""
+def _window_samples(w: WaveletSpec, grid: GridSpec, a_grid: np.ndarray,
+                    centered: bool) -> np.ndarray:
+    """Window samples f(m dx / a), m = -M..M with M = floor(a support / dx), on the x1
+    lattice, (n_a, N); ``centered`` re-centers each scale to exact zero discrete mean."""
     n = grid.points_per_axis
-    raw = np.empty((len(a_grid), n))
-    centered = np.empty_like(raw)
-    for i, a in enumerate(a_grid):
-        m_max = int(math.floor(a * w.support / grid.dx))
-        m = np.arange(-m_max, m_max + 1)
+    out = np.empty((len(a_grid), n))
+    for row, a in zip(out, a_grid):
+        m = np.arange(-(m_max := int(math.floor(a * w.support / grid.dx))), m_max + 1)
         k = np.asarray(np.real(w.f(m * grid.dx / a)), dtype=float)
-        raw[i] = np.bincount(m % n, weights=k, minlength=n)
-        centered[i] = np.bincount(m % n, weights=k - k.sum() / len(k), minlength=n)
-    an = np.conj(np.fft.fft(centered, axis=1)) * (grid.dx / np.sqrt(a_grid))[:, None]
-    return an, np.fft.fft(raw, axis=1)
+        row[...] = np.bincount(m % n, weights=k - k.sum() / len(k) if centered else k, minlength=n)
+    return out
+
+
+def _analysis_spectra(w: WaveletSpec, grid: GridSpec, a_grid: np.ndarray) -> np.ndarray:
+    """(dx / sqrt(a)) conj(khat) of the re-centered window samples, (n_a, N)."""
+    an = np.fft.fft(_window_samples(w, grid, a_grid, centered=True), axis=1)
+    return np.conj(an) * (grid.dx / np.sqrt(a_grid))[:, None]
 
 
 def _synthesis_weights(w: WaveletSpec, a_grid: np.ndarray, db: np.ndarray) -> np.ndarray:
@@ -209,8 +210,10 @@ def _slabs(src: np.ndarray):
 def _stuffed_spectrum(y: np.ndarray, stride: int) -> np.ndarray:
     """x1 spectrum (last axis) of ifft(y) decimated by ``stride``, zero-stuffed back:
     for s | N the alias fold (1/s) sum_r y[..., q + rM], M = N/s (the M-point spectrum
-    of the slice, repeated s times), else one ifft/fft pair, in y."""
+    of the slice, repeated s times; y itself for s = 1), else one ifft/fft pair, in y."""
     n = y.shape[-1]
+    if stride == 1:
+        return y
     if n % stride == 0:
         return y.reshape(*y.shape[:-1], stride, n // stride).sum(axis=-2) * (1.0 / stride)
     np.fft.ifft(y, out=y)
@@ -236,7 +239,8 @@ def cwt_roundtrip_error(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
     if not v.values.any():
         raise ValueError("CWT round-trip error of the zero field is undefined")
     strides = np.array([_b_stride(g, a, b_max_step) for a in a_grid])
-    an, syn = _window_spectra(w, g, a_grid)
+    an = _analysis_spectra(w, g, a_grid)
+    syn = np.fft.fft(_window_samples(w, g, a_grid, centered=False), axis=1)
     syn *= _synthesis_weights(w, a_grid, strides * g.dx)[:, None]
     fold, tables = np.unique(strides[n % strides == 0]), {}
     for s in fold:
@@ -317,14 +321,6 @@ def make_partition(h: float, k: int) -> DyadicPartition:
     return DyadicPartition(h=h, k=k, J=J)
 
 
-def partition_sum(part: DyadicPartition, xi2: np.ndarray) -> np.ndarray:
-    """chi0 + sum_j chi over the bands; equals 1 on |xi2| <= 1."""
-    total = part.band_multiplier(xi2, 0)
-    for j in range(1, part.J + 1):
-        total = total + part.band_multiplier(xi2, j)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # coefficient norms
 # ---------------------------------------------------------------------------
@@ -343,7 +339,7 @@ def coefficient_norm_table(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
     n = g.points_per_axis
     a_grid = _check_scales(g, a_grid)
     mults2 = np.stack([part.band_multiplier(g.xi_coords, j) ** 2 for j in range(part.J + 1)])
-    an = _window_spectra(w, g, a_grid)[0]
+    an = _analysis_spectra(w, g, a_grid)
     rescale = np.fft.ifftshift(np.sqrt(2.0 * np.pi * g.h) / g.dx / _alternating_signs(n))
     strides = np.array([_b_stride(g, a, None) for a in a_grid])
     power = np.empty((len(a_grid), n))  # over b, per (scale, xi2)

@@ -104,3 +104,11 @@ def flow_positions(flow) -> np.ndarray:
 def flow_action(flow) -> np.ndarray:
     """S = G y0 + H of a flow's snapshots on its (y0, xi0) mesh, (n_save, ny, nxi)."""
     return _on_mesh(flow.action_slope, flow.action_shift, flow.y_init)
+
+
+def partition_sum(part, xi2: np.ndarray) -> np.ndarray:
+    """chi0 + sum_j chi over the bands 0..J of a dyadic partition; equals 1 on |xi2| <= 1."""
+    total = part.band_multiplier(xi2, 0)
+    for j in range(1, part.J + 1):
+        total = total + part.band_multiplier(xi2, j)
+    return total

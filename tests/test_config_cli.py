@@ -283,6 +283,52 @@ tol = 0.05
             report = run(parse_config(text))
         assert report.passed
 
+    TWO_ALPHAS = MINIMAL.replace("p = inf", "p = 8") + """
+[stage construct]
+alpha = 0.3333333333333333
+
+[stage norms]
+p = 8
+
+[assert blended]
+kind = slope
+quantity = lp_norm
+p = 8
+expected = -delta(p=8, k=1)
+tol = 0.05
+"""
+
+    def test_slope_over_several_alpha_refused(self):
+        # fitted as one power law, the six points read -0.209 and passed against -delta(8, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ConfigError, match=r"lp_norm is measured at alpha = 0\.333333, "
+                                                  r"0\.5; the assertion must name one alpha"):
+                run(parse_config(self.TWO_ALPHAS))
+
+    def test_slope_at_named_alpha_selects_it(self):
+        named = self.TWO_ALPHAS.replace("p = 8\nexpected", "p = 8\nalpha = 0.5\nexpected")
+        alone = MINIMAL.replace("p = inf", "p = 8") + named[named.index("[assert"):]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            both, one = run(parse_config(named)), run(parse_config(alone))
+        assert both.assertions[0].measured == one.assertions[0].measured
+        assert both.passed
+
+    def test_slope_over_several_k_refused(self):
+        text = load_shipped_config("egorov_contact").replace(
+            "h_list = 2^-6", "h_list = 2^-5 2^-6 2^-7") + """
+[assert order_slope]
+kind = slope
+quantity = contact_order(x1=0.1)
+expected = 0.0
+tol = 0.01
+"""
+        with pytest.raises(ConfigError, match=r"at k = 1, 2; the assertion must name one k"):
+            run(parse_config(text))
+        report = run(parse_config(text.replace("tol = 0.01", "tol = 0.01\nk = 2")))
+        assert report.passed and abs(report.assertions[-1].measured) < 1e-12
+
     def test_sweep_error_row_is_well_formed_csv(self):
         import csv
         import io

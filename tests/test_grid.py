@@ -1,7 +1,10 @@
 """Grid, field and transform contracts."""
 
+import math
 import re
 import struct
+import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_lp_norm, random_field, restrict_norm
+from qmlab import grid as grid_module
 from qmlab.grid import (
     MAGIC_FIELD,
     Field2D,
@@ -290,7 +294,10 @@ class TestStreamedNorms:
         assert u.samples_pending
         want = [dense_lp_norm(semiclassical_ifft(spec), p) for p in STREAM_PS]
         assert got[:-1] == pytest.approx(want[:-1], rel=1e-14, abs=0.0)
-        assert got[-1] == want[-1]
+        if case in ("dense", "edge_rows"):  # complex: the max streams on the N lattice
+            assert got[-1] == want[-1]
+        else:  # non-negative: the max is the closed form u(0)
+            assert got[-1] == pytest.approx(want[-1], rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("read", [True, False])
     def test_existing_samples_bitwise_unchanged(self, read):
@@ -318,6 +325,153 @@ class TestStreamedNorms:
             with pytest.raises(ValueError, match="got " + re.escape(repr(p))):
                 call()
         assert u.samples_pending
+
+
+def lattice_norm(spec: SpectralField2D, p: int, m1: int, m2: int) -> float:
+    """(N/m1)(N/m2) times the Riemann sum of |u|^p on the m1 x m2 lattice, to the 1/p."""
+    n = spec.grid.n
+    total = sum(np.sum(np.abs(blk) ** p) for blk in grid_module._column_blocks(spec, m1, m2))
+    return float((total * spec.grid.dx ** 2 * (n / m1) * (n / m2)) ** (1.0 / p))
+
+
+def alias_bound(spec: SpectralField2D, p: int) -> tuple[int, int]:
+    """M_i = (p/2)(b_i - 1) + 1, the fewest points on which |u|^p does not alias; N
+    where that is not fewer, since the N-lattice sum then aliases itself."""
+    return tuple(min(p // 2 * (b - 1) + 1, spec.grid.n) for b in spec.box[0].shape)
+
+
+def random_block_spectrum(seed: int) -> SpectralField2D:
+    """A random complex block at a random origin of a 64- or 256-point lattice."""
+    rng = np.random.default_rng(seed)
+    n = (64, 256)[seed % 2]
+    b1, b2 = rng.integers(1, 13), rng.integers(1, 41)
+    block = rng.standard_normal((b1, b2)) + 1j * rng.standard_normal((b1, b2))
+    origin = (int(rng.integers(0, n - b1 + 1)), int(rng.integers(0, n - b2 + 1)))
+    return SpectralField2D(GridSpec(5.0, n, 0.1), block=block, origin=origin)
+
+
+EVEN_PS = [2, 4, 6, 8, 10]
+
+
+class TestBoxedNormRules:
+    @pytest.mark.parametrize("n", [32, 256])
+    @pytest.mark.parametrize("case", [f"{a},{mode}" for a in ("0.01", "1/3", "1/2")
+                                      for mode in ("sharp", "smooth")] + ["dense", "edge_rows"])
+    def test_even_p_alias_free_at_the_bound(self, case, n):
+        spec = stream_case_spectrum(case, n)
+        for p in EVEN_PS:
+            want = dense_lp_norm(semiclassical_ifft(spec), p)
+            assert lattice_norm(spec, p, *alias_bound(spec, p)) == pytest.approx(
+                want, rel=1e-14, abs=0.0), p
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_blocks_alias_free(self, seed):
+        spec = random_block_spectrum(seed)
+        u = semiclassical_ifft(spec)
+        want = [dense_lp_norm(semiclassical_ifft(spec), p) for p in EVEN_PS]
+        got = [lattice_norm(spec, p, *alias_bound(spec, p)) for p in EVEN_PS]
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert lp_norms(u, EVEN_PS) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert u.samples_pending
+
+    @pytest.mark.parametrize("p", [4, 6, 8, 10])
+    def test_bound_is_tight(self, p):
+        # two equal spikes d apart: |u|^p carries C(p, k) at frequencies (k - p/2) d, so one
+        # point short of the bound the two outermost fold onto the mean, C(p, p/2)
+        d = 7
+        block = np.zeros((1, d + 1), complex)
+        block[0, [0, d]] = 1.0
+        spec = SpectralField2D(GridSpec(5.0, 64, 0.1), block=block, origin=(30, 20))
+        m1, m2 = alias_bound(spec, p)
+        exact = lattice_norm(spec, p, m1, m2)
+        assert exact == pytest.approx(dense_lp_norm(semiclassical_ifft(spec), p), rel=1e-14)
+        short = lattice_norm(spec, p, m1, m2 - 1)
+        assert abs(short ** p / exact ** p - 1.0) == pytest.approx(2.0 / math.comb(p, p // 2),
+                                                                   rel=1e-9)
+        if p == 4:  # the sum of |u|^4 is off by a third
+            assert abs(short ** p / exact ** p - 1.0) > 0.1
+
+    @pytest.mark.parametrize("normalization", ["unit_l2", "analytic_prefactor"])
+    @pytest.mark.parametrize("alpha, smoothed", [(0.01, False), (1.0 / 3.0, True), (0.5, False)])
+    def test_sup_closed_form(self, alpha, smoothed, normalization):
+        h = 2.0 ** -6
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            u = build_t_alpha(TAlphaSpec(h=h, alpha=alpha, smoothed_edges=smoothed,
+                                         normalization=normalization), grid_for_t_alpha(h))
+        g = u.grid
+        want = math.fsum(u.spectrum.box[0].real.ravel()) * g.dxi ** 2 / (2.0 * np.pi * g.h)
+        assert lp_norm(u, np.inf) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert u.samples_pending
+
+    @pytest.mark.parametrize("entry", [-1.0, 1j])
+    def test_signed_or_complex_block_streams(self, entry, monkeypatch):
+        spec = stream_case_spectrum("1/2,sharp", 256)
+        block, origin = spec.box
+        block = block.copy()
+        i, j = np.argwhere(block)[len(np.argwhere(block)) // 2]
+        block[i, j] *= entry
+        spec = SpectralField2D(spec.grid, block=block, origin=origin)
+        want = dense_lp_norm(semiclassical_ifft(spec), np.inf)
+        passes = []
+        real = grid_module._column_blocks
+
+        def counting(spec, m1, m2):
+            passes.append((m1, m2))
+            return real(spec, m1, m2)
+
+        monkeypatch.setattr(grid_module, "_column_blocks", counting)
+        u = semiclassical_ifft(spec)
+        assert lp_norms(u, [np.inf]) == [want]
+        assert passes == [(256, 256)]
+        assert u.samples_pending
+
+    @pytest.mark.parametrize("p, entry", [(np.inf, 1e308), (np.inf, 1e308j), (8, 1e200),
+                                          (3, 1e200)])
+    def test_overflow_refused_on_every_rule(self, p, entry):
+        # closed form (the sum of the block overflows), the stream's max, the
+        # alias-free power sum and the N-lattice power sum
+        g = GridSpec(4.0, 32, 0.25)
+        u = semiclassical_ifft(SpectralField2D(g, block=[[entry, 0.0, entry]], origin=(3, 5)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(GridError, match="non-finite"):
+            lp_norms(u, [p])
+        assert u.samples_pending
+
+    def test_norms_do_not_depend_on_n(self, monkeypatch):
+        # N = 32768: the N^2 spectrum alone would take 16 GiB
+        lattices = []
+        real = grid_module._column_blocks
+
+        def recording(spec, m1, m2):
+            lattices.append((m1, m2))
+            return real(spec, m1, m2)
+
+        h = 2.0 ** -13
+        grid = grid_for_t_alpha(h, n_max=2 ** 15)
+        assert grid.n == 2 ** 15
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            monkeypatch.setattr(grid_module, "_column_blocks", recording)
+            tracemalloc.start()
+            t0 = time.perf_counter()
+            try:
+                u = build_t_alpha(TAlphaSpec(h=h, alpha=1.0 / 3.0), grid)
+                got = lp_norms(u, [6, 8, np.inf])
+                seconds = time.perf_counter() - t0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert u.samples_pending
+        assert peak <= 128 * 2 ** 20, peak
+        assert seconds <= 2.0, seconds
+        assert len(lattices) == 2 and all(max(m) < grid.n for m in lattices)
+        for p, val, (m1, m2) in zip((6, 8), got, lattices):
+            assert val == pytest.approx(lattice_norm(u.spectrum, p, 2 * m1, 2 * m2),
+                                        rel=1e-13, abs=0.0)
+        block = u.spectrum.box[0]
+        assert got[2] == pytest.approx(math.fsum(block.real.ravel()) * grid.dxi ** 2
+                                       / (2.0 * np.pi * h), rel=1e-15, abs=0.0)
 
 
 class TestSerialization:

@@ -452,9 +452,9 @@ class TestLazySynthesis:
         passes = []
         real = grid_module._column_blocks
 
-        def counting(spec):
-            passes.append(spec.grid.h)
-            return real(spec)
+        def counting(spec, m1, m2):
+            passes.append((spec.grid.h, spec.grid.n, m1, m2))
+            return real(spec, m1, m2)
 
         monkeypatch.setattr(grid_module, "_column_blocks", counting)
         text = JOINT_DEFECT_K1.split("[stage defect]")[0].replace(
@@ -464,4 +464,7 @@ class TestLazySynthesis:
             report = run(parse_config(text))
         assert all(row.error is None for row in report.rows)
         assert syntheses == []
-        assert passes == [2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
+        # p = 2 and 6 each on their alias-free lattice, p = inf in closed form: no
+        # synthesis on the N lattice
+        assert [h for h, *_ in passes] == [2.0 ** -5] * 2 + [2.0 ** -6] * 2 + [2.0 ** -7] * 2
+        assert all(m1 < n and m2 < n for _, n, m1, m2 in passes)

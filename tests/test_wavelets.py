@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import partition_sum
 from qmlab.grid import (
     _BLOCK,
     Field2D,
@@ -24,9 +25,9 @@ from qmlab.wavelets import (
     default_scale_grid,
     default_wavelet,
     make_partition,
-    partition_sum,
 )
-from qmlab.wavelets import _stuffed_spectrum, _synthesis_weights, _window_spectra
+from qmlab.wavelets import (_analysis_spectra, _stuffed_spectrum, _synthesis_weights,
+                             _window_samples)
 
 W = default_wavelet()
 
@@ -474,7 +475,8 @@ class TestSpectralEngineOracle:
         out, slices = _oracle_roundtrip(v, w, self.a_grid)
         n = self.g.n
         strides = np.array([_oracle_stride(self.g, a) for a in self.a_grid])
-        an, syn = _window_spectra(w, self.g, self.a_grid)
+        an = _analysis_spectra(w, self.g, self.a_grid)
+        syn = np.fft.fft(_window_samples(w, self.g, self.a_grid, centered=False))
         syn *= _synthesis_weights(w, self.a_grid, strides * self.g.dx)[:, None]
         vhat = np.fft.fft(v.values.T)  # the engine's slab layout: x1 on the last axis
         back = np.zeros_like(vhat)
