@@ -16,8 +16,8 @@ from importlib import resources
 
 import numpy as np
 
-from . import estimates, quasimodes, reporting, wavelets
-from .config import ConfigError, parse_config, parse_graph_expr, parse_symbol_expr, run
+from . import config, estimates, reporting, wavelets
+from .config import ConfigError, parse_config, parse_graph_expr, run
 from .grid import read_field, write_field
 from .propagator import apply_w, quasimode_pushforward
 
@@ -44,33 +44,30 @@ def _read_config_arg(arg: str) -> str:
     return load_shipped_config(arg)
 
 
+def _emit(text: str, out) -> int:
+    """text to the file out, or to stdout without one."""
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _cmd_construct(args) -> int:
-    grid = quasimodes.grid_for_t_alpha(args.h, half_width=args.grid_l,
-                                       coverage=args.coverage, n_max=args.n_max)
-    spec = quasimodes.TAlphaSpec(h=args.h, alpha=args.alpha,
-                                 normalization=args.normalization,
-                                 smoothed_edges=args.smoothed_edges)
-    fld = quasimodes.build_t_alpha(spec, grid)
-    write_field(fld, args.out)
-    print(f"wrote {args.out}: N={grid.points_per_axis} L={grid.half_width} "
-          f"h={args.h} alpha={args.alpha} l2={fld.l2_norm():.6f}")
+    given = vars(args)  # a flag left out is absent, see build_parser
+    ctx = config._Context(args.h, {k: v for k, v in given.items() if k in config._GRID_KEYS})
+    config._construct(ctx, **config._arguments("construct", given))
+    write_field(ctx.fld, args.out)
+    print(f"wrote {args.out}: N={ctx.fld.grid.points_per_axis} L={ctx.fld.grid.half_width} "
+          f"h={args.h} alpha={args.alpha} l2={ctx.fld.l2_norm():.6f}")
     return 0
 
 
 def _cmd_defect(args) -> int:
     fld = read_field(args.infile)
-    p1 = parse_symbol_expr(args.symbol)
-    if args.symbol2:
-        rep = quasimodes.joint_defect(p1, parse_symbol_expr(args.symbol2), fld, args.m1, args.m2)
-    else:
-        rep = quasimodes.defect(p1, fld, max(args.m1, 1))
-    text = reporting.defect_csv([(fld.grid.h, args.alpha, rep)])
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    rep, = config._defect_reports(fld, args.symbol, args.symbol2, [args.m1, args.m2])
+    return _emit(reporting.defect_csv([(fld.grid.h, args.alpha, rep)]), args.out)
 
 
 def _cmd_propagate(args) -> int:
@@ -90,52 +87,36 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_cwt(args) -> int:
-    fld = read_field(args.infile)
-    h = fld.grid.h
-    w = wavelets.default_wavelet()
-    part = wavelets.make_partition(h, args.k)
-    a_grid = wavelets.default_scale_grid(h ** args.a_min_pow, args.a_max,
-                                         per_decade=args.per_decade)
-    tab = wavelets.coefficient_norm_table(fld, w, a_grid, part)
-    lines = ["a,b,j,norm"]
-    for i, a in enumerate(tab["a"]):
-        for j in range(part.J + 1):
-            lines.append(f"{a!r},,{j},{tab['bands'][i, j]!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    kw = config._arguments("cwt_norms", vars(args))
+    part, tab = config._norm_table(read_field(args.infile), kw["k"], kw["a_min_pow"],
+                                   kw["a_max"], kw["per_decade"])
+    fmt = reporting._fmt
+    lines = ["a,b,j,norm"] + [f"{fmt(float(a))},,{j},{fmt(float(tab['bands'][i, j]))}"
+                              for i, a in enumerate(tab["a"]) for j in range(part.J + 1)]
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def _cmd_kernel(args) -> int:
-    part = wavelets.make_partition(args.h, args.k)
-    w = wavelets.default_wavelet()
-    a = args.h ** float(args.a[2:]) if args.a.startswith("h^") else float(args.a)
-    s = estimates.kernel_sample(parse_graph_expr(args.graph), w, part, args.j, a, args.t)
+    kw = config._arguments("kernel", vars(args))
+    s = estimates.kernel_sample(parse_graph_expr(kw["graph"]), wavelets.default_wavelet(),
+                                wavelets.make_partition(args.h, kw["k"]), args.j,
+                                config._scale(args.h, args.a), args.t)
     print("j,a,t,regime,sup_abs")
     print(f"{s.j},{s.a!r},{s.t!r},{s.regime},{s.sup_abs!r}")
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_run(args) -> int:
+    """sweep: the measurement CSV; report: also the markdown and the assertion verdicts."""
     cfg = parse_config(_read_config_arg(args.config))
     report = run(cfg)
     out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, cfg.name + ".csv")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(reporting.measurements_csv(report))
-    print(f"wrote {csv_path}")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    cfg = parse_config(_read_config_arg(args.config))
-    report = run(cfg)
-    out_dir = args.out or cfg.out_dir
+    if args.command == "sweep":
+        os.makedirs(out_dir, exist_ok=True)
+        csv_path = os.path.join(out_dir, cfg.name + ".csv")
+        _emit(reporting.measurements_csv(report), csv_path)
+        print(f"wrote {csv_path}")
+        return 0
     csv_path, md_path = reporting.write_report(report, out_dir)
     print(f"wrote {csv_path} and {md_path}")
     for a in report.assertions:
@@ -152,15 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
                                  allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("construct", help="build the polar-rectangle quasimode")
+    # a stage's flag left out takes the stage's default (argument_default=SUPPRESS)
+    c = sub.add_parser("construct", help="build the polar-rectangle quasimode",
+                       argument_default=argparse.SUPPRESS)
     c.add_argument("--alpha", type=float, required=True)
     c.add_argument("--h", type=float, required=True)
     c.add_argument("--out", required=True)
-    c.add_argument("--grid-l", type=float, default=5.0)
-    c.add_argument("--coverage", type=float, default=1.25)
-    c.add_argument("--n-max", type=int, default=2048)
-    c.add_argument("--normalization", choices=["unit_l2", "analytic_prefactor"],
-                   default="unit_l2")
+    c.add_argument("--grid-l", dest="half_width", type=float)
+    c.add_argument("--coverage", type=float)
+    c.add_argument("--n-max", type=int)
+    c.add_argument("--normalization", choices=["unit_l2", "analytic_prefactor"])
     c.add_argument("--smoothed-edges", action="store_true")
     c.set_defaults(fn=_cmd_construct)
 
@@ -182,33 +164,32 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", required=True)
     pr.set_defaults(fn=_cmd_propagate)
 
-    cw = sub.add_parser("cwt", help="coefficient norm table of a field")
+    cw = sub.add_parser("cwt", help="coefficient norm table of a field",
+                        argument_default=argparse.SUPPRESS)
     cw.add_argument("--in", dest="infile", required=True)
     cw.add_argument("--k", type=int, required=True)
-    cw.add_argument("--a-min-pow", type=float, default=0.6)
-    cw.add_argument("--a-max", type=float, default=4.0)
-    cw.add_argument("--per-decade", type=int, default=24)
+    cw.add_argument("--a-min-pow", type=float)
+    cw.add_argument("--a-max", type=float)
+    cw.add_argument("--per-decade", type=int)
     cw.add_argument("--out", default=None)
     cw.set_defaults(fn=_cmd_cwt)
 
-    kn = sub.add_parser("kernel", help="one kernel envelope sample")
+    kn = sub.add_parser("kernel", help="one kernel envelope sample",
+                        argument_default=argparse.SUPPRESS)
     kn.add_argument("--h", type=float, required=True)
-    kn.add_argument("--k", type=int, default=1)
+    kn.add_argument("--k", type=int)
     kn.add_argument("--j", type=int, required=True)
     kn.add_argument("--a", required=True, help="scale, number or h^pow")
     kn.add_argument("--t", type=float, required=True)
-    kn.add_argument("--graph", default="parabola")
+    kn.add_argument("--graph")
     kn.set_defaults(fn=_cmd_kernel)
 
-    sw = sub.add_parser("sweep", help="run a config's pipeline, write CSV")
-    sw.add_argument("--config", required=True)
-    sw.add_argument("--out", default=None)
-    sw.set_defaults(fn=_cmd_sweep)
-
-    rp = sub.add_parser("report", help="sweep + assertions + markdown report")
-    rp.add_argument("--config", required=True)
-    rp.add_argument("--out", default=None)
-    rp.set_defaults(fn=_cmd_report)
+    for name, text in (("sweep", "run a config's pipeline, write CSV"),
+                       ("report", "sweep + assertions + markdown report")):
+        sw = sub.add_parser(name, help=text)
+        sw.add_argument("--config", required=True)
+        sw.add_argument("--out", default=None)
+        sw.set_defaults(fn=_cmd_run)
 
     return ap
 

@@ -5,6 +5,9 @@ Config files are line-based: ``[section]`` headers, ``key = value`` pairs and
 ``[stage <kind>]`` in pipeline order, and ``[assert <name>]`` blocks.  All
 parse errors are collected with their line numbers and reported together.
 
+A stage kind is declared once, by the signature of its function in
+``STAGE_KINDS`` (section "stages" below), which parsing and the runner read.
+
 Value syntax: numbers (including ``2^-6`` dyadics and ``inf``), whitespace
 separated lists, booleans, and symbol expressions like
 ``contact_circle(k=2, c=1.0)`` (identifier plus parenthesized key=value
@@ -13,6 +16,7 @@ list).
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from dataclasses import dataclass, field
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimates, quasimodes, symbols, wavelets
-from .grid import GridSpec, lp_norms
+from .grid import Field2D, GridSpec, lp_norms
 from .propagator import conjugated_symbol, quasimode_pushforward
 from .symbols import contact_order, graph_catalog
 
@@ -122,21 +126,189 @@ def parse_graph_expr(text: str) -> symbols.GraphFn:
 
 
 # ---------------------------------------------------------------------------
-# config model
+# stages
 # ---------------------------------------------------------------------------
 
-STAGE_KINDS = {
-    # kind: (consumes_field, produces_field)
-    "construct": (False, True),
-    "flat_quasimode": (False, True),
-    "propagate": (True, True),
-    "norms": (True, False),
-    "defect": (True, False),
-    "cwt_norms": (True, False),
-    "kernel": (False, False),
-    "egorov": (False, False),
-}
+@dataclass
+class _Context:
+    """What the stages share at one h: the [grid] section, the current field and
+    the alpha it was built at, and the rows keyed (quantity, p, k, j, alpha)."""
 
+    h: float
+    grid: dict
+    fld: Field2D | None = None
+    alpha: float | None = None
+    rows: dict = field(default_factory=dict)
+
+
+def _grid_for(grid: dict, h: float) -> GridSpec:
+    if "points_per_axis" in grid:
+        return GridSpec(grid.get("half_width", 5.0), grid["points_per_axis"], h)
+    return quasimodes.grid_for_t_alpha(h, **grid)
+
+
+def _construct(ctx: _Context, alpha: float = 0.5, normalization: str = "unit_l2",
+               smoothed_edges: bool = False):
+    ctx.alpha = alpha
+    spec = quasimodes.TAlphaSpec(h=ctx.h, alpha=alpha, normalization=normalization,
+                                 smoothed_edges=smoothed_edges)
+    ctx.fld = quasimodes.build_t_alpha(spec, _grid_for(ctx.grid, ctx.h))
+
+
+def _flat_quasimode(ctx: _Context, k: int, sigma1_factor: float = 3.0,
+                    sigma2_factor: float = 0.5):
+    ctx.fld = quasimodes.build_flat_quasimode(_grid_for(ctx.grid, ctx.h), k,
+                                              sigma1_factor=sigma1_factor,
+                                              sigma2_factor=sigma2_factor)
+
+
+def _propagate(ctx: _Context, graph: str = "circle"):
+    ctx.fld = quasimode_pushforward(parse_graph_expr(graph), ctx.fld)
+
+
+def _norms(ctx: _Context, p: float = (2.0,)):
+    for pv, val in zip(p, lp_norms(ctx.fld, p)):
+        ctx.rows[("lp_norm", pv, None, None, ctx.alpha)] = val
+
+
+def _defect_pairs(powers: list, joint: bool) -> list[tuple[int, int]]:
+    """(M1, M2) pairs of a flat list of powers; a lone symbol takes only (M >= 1, 0)."""
+    if len(powers) % 2:
+        raise ValueError(f"powers takes (M1, M2) pairs, got {list(powers)}")
+    pairs = list(zip(powers[::2], powers[1::2]))
+    if not joint and (bad := [pair for pair in pairs if pair[0] < 1 or pair[1] != 0]):
+        raise ValueError(f"without symbol2 each pair of powers is (M >= 1, 0), got {bad}")
+    return pairs
+
+
+def _defect_reports(fld: Field2D, symbol: str, symbol2: str | None, powers: list) -> list:
+    """fld's defect under each pair of powers: of p1^M1, or of p1^M1 p2^M2 given symbol2."""
+    p1 = parse_symbol_expr(symbol)
+    p2 = parse_symbol_expr(symbol2) if symbol2 is not None else None
+    return [quasimodes.defect(p1, fld, m1) if p2 is None
+            else quasimodes.joint_defect(p1, p2, fld, m1, m2)
+            for m1, m2 in _defect_pairs(powers, p2 is not None)]
+
+
+def _defect(ctx: _Context, symbol: str, symbol2: str = None, powers: int = (1, 0)):
+    for rep in _defect_reports(ctx.fld, symbol, symbol2, powers):
+        m1, m2 = rep.powers
+        ctx.rows[(f"defect_m{m1}_{m2}", None, None, None, ctx.alpha)] = rep.defect
+        ctx.rows[(f"defect_ratio_m{m1}_{m2}", None, None, None, ctx.alpha)] = rep.ratio_to_power
+
+
+def _norm_table(fld: Field2D, k: int, a_min_pow: float, a_max: float, per_decade: int):
+    """fld's dyadic partition and its coefficient-norm table on scales h^a_min_pow .. a_max."""
+    h = fld.grid.h
+    part = wavelets.make_partition(h, k)
+    a_grid = wavelets.default_scale_grid(h ** a_min_pow, a_max, per_decade=per_decade)
+    return part, wavelets.coefficient_norm_table(fld, wavelets.default_wavelet(), a_grid, part)
+
+
+def _cwt_norms(ctx: _Context, k: int, a_min_pow: float = 0.6, a_max: float = 4.0,
+               per_decade: int = 24, reference_a: float = 1.0):
+    h, rows = ctx.h, ctx.rows
+    part, tab = _norm_table(ctx.fld, k, a_min_pow, a_max, per_decade)
+    a = tab["a"]
+    iref = int(np.argmin(np.abs(a - reference_a)))
+    c_ref = tab["bands"][iref, 0] / a[iref] ** 1.5
+    worst = 0.0
+    for i, ai in enumerate(a):
+        for j in range(part.J + 1):
+            shape = min(ai, 1.0) ** 1.5 * 2.0 ** (-j)
+            ratio = tab["bands"][i, j] / (c_ref * shape)
+            worst = max(worst, ratio)
+            rows[(f"cwt_norm(a={ai:.6g})", None, k, j, None)] = tab["bands"][i, j]
+    rows[("cwt_reference_c", None, k, 0, None)] = c_ref
+    rows[("cwt_worst_ratio", None, k, None, None)] = worst
+    sel = (a >= h ** 0.6 * 0.999) & (a <= h ** 0.1 * 1.001)
+    if np.count_nonzero(sel) >= 3:
+        fit = estimates.fit_power_law(
+            list(zip(a[sel], tab["bands"][sel, 0])), quantity="small_a")
+        rows[("cwt_small_a_slope", None, k, 0, None)] = fit.slope
+
+
+def _scale(h: float, tok: str) -> float:
+    """A window scale written as a number or as ``h^pow``."""
+    return h ** float(tok[2:]) if tok.startswith("h^") else float(tok)
+
+
+def _kernel(ctx: _Context, graph: str = "parabola", k: int = 1, j_list: int = (0, 2, 4),
+            a_list: str = ("h^0.3", "0.5")):
+    rows = ctx.rows
+    part = wavelets.make_partition(ctx.h, k)
+    samples = estimates.default_kernel_samples(parse_graph_expr(graph), wavelets.default_wavelet(),
+                                              part, j_list, [_scale(ctx.h, tok) for tok in a_list])
+    for s in samples:
+        rows[(f"kernel_sup(a={s.a:.6g},t={s.t:.6g},{s.regime})",
+              None, k, s.j, None)] = s.sup_abs
+    rep = estimates.kernel_bound_check(samples)
+    for regime, c in sorted(rep.constants.items()):
+        rows[(f"kernel_C_{regime}", None, k, None, None)] = c
+    rows[("kernel_pass", None, k, None, None)] = 1.0 if rep.passed else 0.0
+
+
+def _egorov(ctx: _Context, tilt: float = 0.1, k_list: int = (1, 2),
+            x1_list: float = (0.1, 0.3)):
+    rows = ctx.rows
+    a_g = symbols.graph_tilted_circle(tilt)
+    for k in k_list:
+        q_g = symbols.graph_sum(a_g, symbols.graph_monomial(k, 1.0))
+        for x1 in x1_list:
+            a_t, q_t = conjugated_symbol(a_g, q_g, x1, 1e-3)
+            # a is autonomous, so conserved along its own flow: the
+            # base point's label a~(0, 0) is a(x1, 0, 0), with no flow
+            xi0 = (float(a_g.value(x1, 0.0, 0.0)), 0.0)
+            rep = contact_order(a_t, q_t, xi0, max_order=k + 2, x=(x1, 0.0))
+            measured = -1.0 if rep.order == math.inf else float(rep.order)
+            rows[(f"contact_order(x1={x1:g})", None, k, None, None)] = measured
+            rows[(f"contact_match(x1={x1:g})", None, k, None, None)] = (
+                1.0 if rep.order == k and not rep.inconclusive else 0.0)
+
+
+STAGE_KINDS = {
+    # kind: (function, consumes_field, produces_field).  The function's parameters
+    # after ctx are the stage's keys: no default means required, a tuple default
+    # marks a list key, and the annotation names each value's check (_CHECKS).
+    "construct": (_construct, False, True),
+    "flat_quasimode": (_flat_quasimode, False, True),
+    "propagate": (_propagate, True, True),
+    "norms": (_norms, True, False),
+    "defect": (_defect, True, False),
+    "cwt_norms": (_cwt_norms, True, False),
+    "kernel": (_kernel, False, False),
+    "egorov": (_egorov, False, False),
+}
+_KEYS = {kind: dict(list(inspect.signature(fn).parameters.items())[1:])
+         for kind, (fn, _, _) in STAGE_KINDS.items()}
+# a value's parse-time check, by the annotation of its key (a name or expression stays text)
+_CHECKS = {"float": _real, "int": _integer, "bool": _boolean, "str": lambda key, v: str(v)}
+
+
+def _arguments(kind: str, params: dict) -> dict:
+    """A stage's keyword arguments: params over its function's defaults (a missing
+    required key stays missing), with every list key's value as a list."""
+    out = {}
+    for name, key in _KEYS[kind].items():
+        value = params.get(name, key.default)
+        if isinstance(key.default, tuple):
+            value = list(value) if isinstance(value, (list, tuple)) else [value]
+        if value is not key.empty:
+            out[name] = value
+    return out
+
+
+def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
+    """Execute the pipeline at one h; keys are (quantity, p, k, j, alpha)."""
+    ctx = _Context(h, cfg.grid)
+    for stage in cfg.stages:
+        STAGE_KINDS[stage.kind][0](ctx, **_arguments(stage.kind, stage.params))
+    return ctx.rows
+
+
+# ---------------------------------------------------------------------------
+# config model
+# ---------------------------------------------------------------------------
 
 @dataclass
 class StageSpec:
@@ -164,21 +336,8 @@ class ExperimentConfig:
 
 
 _EXPERIMENT_KEYS = {"name", "h_list", "seed", "out_dir"}
-_GRID_KEYS = {"half_width", "coverage", "n_max", "points_per_axis"}
-# stage keys, each with the check its value (every element of a list alike) passes
-# at parse time; only the _STAGE_LIST_KEYS take a whitespace-separated list
-_STAGE_KEYS = {
-    "construct": {"alpha": _real, "normalization": None, "smoothed_edges": _boolean},
-    "flat_quasimode": {"k": _integer, "sigma1_factor": _real, "sigma2_factor": _real},
-    "propagate": {"graph": None},
-    "norms": {"p": _real},
-    "defect": {"symbol": None, "symbol2": None, "powers": _integer},
-    "cwt_norms": {"k": _integer, "a_min_pow": _real, "a_max": _real, "per_decade": _integer,
-                  "reference_a": _real},
-    "kernel": {"graph": None, "k": _integer, "j_list": _integer, "a_list": None},
-    "egorov": {"k_list": _integer, "x1_list": _real, "tilt": _real},
-}
-_STAGE_LIST_KEYS = {"p", "j_list", "a_list", "k_list", "x1_list", "powers"}
+_GRID_KEYS = {"half_width": _real, "coverage": _real, "n_max": _integer,
+              "points_per_axis": _integer}
 _ASSERT_KEYS = {
     "slope": {"quantity", "p", "k", "alpha", "expected", "tol"},
     "slope_min": {"quantity", "p", "k", "alpha", "expected", "tol"},
@@ -214,6 +373,15 @@ def _parse_value(raw: str):
     if len(parts) > 1:
         return [_parse_scalar(p) for p in parts]
     return _parse_scalar(raw)
+
+
+def _typed(key: str, value, raw: str, check, many: bool = False):
+    """value through check, each element of a list alike; a list only where many."""
+    if not isinstance(value, list):
+        return check(key, value)
+    if not many:
+        raise ValueError(f"{key} takes one value, got {raw!r}")
+    return [check(key, v) for v in value]
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -272,55 +440,42 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"line {lineno}: duplicate key {key!r} in [{title}]")
             continue
         seen.add(key)
-        if where == "experiment":
-            if key not in _EXPERIMENT_KEYS:
-                errors.append(f"line {lineno}: unknown experiment key {key!r}")
-            else:
+        try:
+            if where == "experiment":
+                if key not in _EXPERIMENT_KEYS:
+                    raise ValueError(f"unknown experiment key {key!r}")
                 experiment[key] = value
-        elif where == "grid":
-            if key not in _GRID_KEYS:
-                errors.append(f"line {lineno}: unknown grid key {key!r}")
-            else:
-                grid[key] = value
-        elif where == "stage":
-            if key == "kind":
-                errors.append(f"line {lineno}: stage kind is set in the header")
-            elif key not in _STAGE_KEYS[payload.kind]:
-                errors.append(f"line {lineno}: unknown key {key!r} for stage {payload.kind}")
-            elif isinstance(value, list) and key not in _STAGE_LIST_KEYS:
-                errors.append(f"line {lineno}: {key} takes one value, got {raw!r}")
-            elif check := _STAGE_KEYS[payload.kind][key]:
-                try:
-                    payload.params[key] = ([check(key, v) for v in value]
-                                           if isinstance(value, list) else check(key, value))
-                except ValueError as exc:
-                    errors.append(f"line {lineno}: {exc}")
-            else:
-                payload.params[key] = value
-        elif where == "assert":
-            if key == "kind":
+            elif where == "grid":
+                if key not in _GRID_KEYS:
+                    raise ValueError(f"unknown grid key {key!r}")
+                grid[key] = _typed(key, value, raw, _GRID_KEYS[key])
+            elif where == "stage":
+                keys = _KEYS[payload.kind]
+                if key not in keys:
+                    raise ValueError("stage kind is set in the header" if key == "kind"
+                                     else f"unknown key {key!r} for stage {payload.kind}")
+                payload.params[key] = _typed(key, value, raw, _CHECKS[keys[key].annotation],
+                                             many=isinstance(keys[key].default, tuple))
+            elif key == "kind":  # of an [assert] section
                 if value not in _ASSERT_KEYS:
-                    errors.append(f"line {lineno}: unknown assertion kind {value!r}")
-                else:
-                    payload.kind = value
+                    raise ValueError(f"unknown assertion kind {value!r}")
+                payload.kind = value
             elif key == "expected" and isinstance(value, str):
-                try:
-                    payload.params[key] = _closed_form(value)
-                except ValueError as exc:
-                    errors.append(f"line {lineno}: {exc}")
+                payload.params[key] = _closed_form(value)
             else:
                 payload.params[key] = value
+        except ValueError as exc:
+            errors.append(f"line {lineno}: {exc}")
 
     if not stages:
         errors.append("no pipeline: at least one [stage ...] section is required")
 
     h_list = experiment.get("h_list", [])
-    if not isinstance(h_list, list):
-        h_list = [h_list]
+    h_list = h_list if isinstance(h_list, list) else [h_list]
     if bad := [h for h in h_list if isinstance(h, (bool, str))]:
         errors.append(f"experiment.h_list: tokens that are not numbers: {bad}")
     h_list = [float(h) for h in h_list if not isinstance(h, (bool, str))]
-    if not h_list and any(STAGE_KINDS[s.kind][0] or STAGE_KINDS[s.kind][1] for s in stages):
+    if not h_list and any(STAGE_KINDS[s.kind][1] or STAGE_KINDS[s.kind][2] for s in stages):
         errors.append("experiment.h_list must contain at least one h in (0, 1]")
     for h in h_list:
         if not (0 < h <= 1):
@@ -328,11 +483,20 @@ def parse_config(text: str) -> ExperimentConfig:
 
     has_field = False
     for i, s in enumerate(stages):
-        consumes, produces = STAGE_KINDS[s.kind]
+        _, consumes, produces = STAGE_KINDS[s.kind]
         if consumes and not has_field:
             errors.append(f"stage {i + 1} ({s.kind}) needs a field but no earlier stage produces one")
         if produces:
             has_field = True
+        for name, key in _KEYS[s.kind].items():
+            if key.default is key.empty and name not in s.params:
+                errors.append(f"stage {i + 1} ({s.kind}) is missing its required key {name!r}")
+        if s.kind == "defect":
+            args = _arguments(s.kind, s.params)
+            try:
+                _defect_pairs(args["powers"], args["symbol2"] is not None)
+            except ValueError as exc:
+                errors.append(f"stage {i + 1} (defect): {exc}")
     for spec in assertions:
         if not spec.kind:
             errors.append(f"assertion {spec.name!r} is missing its kind")
@@ -342,139 +506,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
 
-    return ExperimentConfig(
-        name=str(experiment.get("name", "experiment")),
-        h_list=h_list,
-        stages=stages,
-        assertions=assertions,
-        grid=grid,
-        seed=int(experiment.get("seed", 0)),
-        out_dir=str(experiment.get("out_dir", "results")),
-        source_text=text,
-    )
-
-
-# ---------------------------------------------------------------------------
-# pipeline execution
-# ---------------------------------------------------------------------------
-
-def _grid_for(cfg: ExperimentConfig, h: float) -> GridSpec:
-    g = cfg.grid
-    if "points_per_axis" in g:
-        return GridSpec(float(g.get("half_width", 5.0)), int(g["points_per_axis"]), h)
-    return quasimodes.grid_for_t_alpha(
-        h,
-        half_width=float(g.get("half_width", 5.0)),
-        coverage=float(g.get("coverage", 1.25)),
-        n_max=int(g.get("n_max", 2048)),
-    )
-
-
-def _as_list(v):
-    return v if isinstance(v, list) else [v]
-
-
-def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
-    """Execute the pipeline at one h; keys are (quantity, p, k, j, alpha)."""
-    rows: dict = {}
-    fld = None
-    alpha = None
-    for stage in cfg.stages:
-        p = stage.params
-        # parse_config has typed every parameter (_STAGE_KEYS)
-        if stage.kind == "construct":
-            alpha = p.get("alpha", 0.5)
-            spec = quasimodes.TAlphaSpec(h=h, alpha=alpha,
-                                         normalization=str(p.get("normalization", "unit_l2")),
-                                         smoothed_edges=p.get("smoothed_edges", False))
-            fld = quasimodes.build_t_alpha(spec, _grid_for(cfg, h))
-        elif stage.kind == "flat_quasimode":
-            fld = quasimodes.build_flat_quasimode(
-                _grid_for(cfg, h), p["k"], sigma1_factor=p.get("sigma1_factor", 3.0),
-                sigma2_factor=p.get("sigma2_factor", 0.5))
-        elif stage.kind == "propagate":
-            fld = quasimode_pushforward(parse_graph_expr(str(p.get("graph", "circle"))), fld)
-        elif stage.kind == "norms":
-            pvs = _as_list(p.get("p", [2.0]))
-            for pv, val in zip(pvs, lp_norms(fld, pvs)):
-                rows[("lp_norm", pv, None, None, alpha)] = val
-        elif stage.kind == "defect":
-            p1 = parse_symbol_expr(str(p["symbol"]))
-            p2 = parse_symbol_expr(str(p["symbol2"])) if "symbol2" in p else None
-            powers = _as_list(p.get("powers", [1, 0]))
-            pairs = [(powers[i], powers[i + 1]) for i in range(0, len(powers), 2)]
-            for m1, m2 in pairs:
-                if p2 is None:
-                    rep = quasimodes.defect(p1, fld, max(m1, 1))
-                else:
-                    rep = quasimodes.joint_defect(p1, p2, fld, m1, m2)
-                rows[(f"defect_m{m1}_{m2}", None, None, None, alpha)] = rep.defect
-                rows[(f"defect_ratio_m{m1}_{m2}", None, None, None, alpha)] = rep.ratio_to_power
-        elif stage.kind == "cwt_norms":
-            k = p["k"]
-            part = wavelets.make_partition(h, k)
-            a_grid = wavelets.default_scale_grid(h ** p.get("a_min_pow", 0.6), p.get("a_max", 4.0),
-                                                 per_decade=p.get("per_decade", 24))
-            tab = wavelets.coefficient_norm_table(fld, wavelets.default_wavelet(), a_grid, part)
-            a = tab["a"]
-            iref = int(np.argmin(np.abs(a - p.get("reference_a", 1.0))))
-            c_ref = tab["bands"][iref, 0] / a[iref] ** 1.5
-            worst = 0.0
-            for i, ai in enumerate(a):
-                for j in range(part.J + 1):
-                    shape = min(ai, 1.0) ** 1.5 * 2.0 ** (-j)
-                    ratio = tab["bands"][i, j] / (c_ref * shape)
-                    worst = max(worst, ratio)
-                    rows[(f"cwt_norm(a={ai:.6g})", None, k, j, None)] = tab["bands"][i, j]
-            rows[("cwt_reference_c", None, k, 0, None)] = c_ref
-            rows[("cwt_worst_ratio", None, k, None, None)] = worst
-            sel = (a >= h ** 0.6 * 0.999) & (a <= h ** 0.1 * 1.001)
-            if np.count_nonzero(sel) >= 3:
-                fit = estimates.fit_power_law(
-                    list(zip(a[sel], tab["bands"][sel, 0])), quantity="small_a")
-                rows[("cwt_small_a_slope", None, k, 0, None)] = fit.slope
-        elif stage.kind == "kernel":
-            k = p.get("k", 1)
-            graph = parse_graph_expr(str(p.get("graph", "parabola")))
-            part = wavelets.make_partition(h, k)
-            j_list = _as_list(p.get("j_list", [0, 2, 4]))
-            a_list = []
-            for tok in _as_list(p.get("a_list", ["h^0.3", 0.5])):
-                if isinstance(tok, str) and tok.startswith("h^"):
-                    a_list.append(h ** float(tok[2:]))
-                else:
-                    a_list.append(float(tok))
-            samples = estimates.default_kernel_samples(graph, wavelets.default_wavelet(), part,
-                                                      j_list, a_list)
-            for s in samples:
-                rows[(f"kernel_sup(a={s.a:.6g},t={s.t:.6g},{s.regime})",
-                      None, k, s.j, None)] = s.sup_abs
-            rep = estimates.kernel_bound_check(samples)
-            for regime, c in sorted(rep.constants.items()):
-                rows[(f"kernel_C_{regime}", None, k, None, None)] = c
-            rows[("kernel_pass", None, k, None, None)] = 1.0 if rep.passed else 0.0
-        elif stage.kind == "egorov":
-            a_g = symbols.graph_tilted_circle(p.get("tilt", 0.1))
-            for k in _as_list(p.get("k_list", [1, 2])):
-                q_g = symbols.graph_sum(a_g, symbols.graph_monomial(k, 1.0))
-                for x1 in _as_list(p.get("x1_list", [0.1, 0.3])):
-                    a_t, q_t = conjugated_symbol(a_g, q_g, x1, 1e-3)
-                    # a is autonomous, so conserved along its own flow: the
-                    # base point's label a~(0, 0) is a(x1, 0, 0), with no flow
-                    xi0 = (float(a_g.value(x1, 0.0, 0.0)), 0.0)
-                    rep = contact_order(a_t, q_t, xi0, max_order=k + 2, x=(x1, 0.0))
-                    measured = -1.0 if rep.order == math.inf else float(rep.order)
-                    rows[(f"contact_order(x1={x1:g})", None, k, None, None)] = measured
-                    rows[(f"contact_match(x1={x1:g})", None, k, None, None)] = (
-                        1.0 if rep.order == k and not rep.inconclusive else 0.0)
-        else:  # pragma: no cover - guarded by parse validation
-            raise ValueError(f"unhandled stage {stage.kind}")
-    return rows
-
-
-def build_pipeline(cfg: ExperimentConfig):
-    """Callable h -> measurement dict, for estimates.run_sweep."""
-    return lambda h: _run_stages(cfg, h)
+    return ExperimentConfig(str(experiment.get("name", "experiment")), h_list, stages, assertions,
+                            grid, seed=int(experiment.get("seed", 0)),
+                            out_dir=str(experiment.get("out_dir", "results")), source_text=text)
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +568,8 @@ def _collect(rows, quantity: str, select: dict):
 
 
 def _collect_all(rows, prefix: str):
-    vals = []
-    for row in rows:
-        if row.error:
-            continue
-        for key, val in row.measurements.items():
-            if key[0] == prefix or key[0].startswith(prefix):
-                vals.append(val)
-    return vals
+    return [val for row in rows if not row.error
+            for key, val in row.measurements.items() if key[0].startswith(prefix)]
 
 
 def evaluate_assertions(cfg: ExperimentConfig, rows) -> list[AssertionResult]:
@@ -554,30 +582,18 @@ def evaluate_assertions(cfg: ExperimentConfig, rows) -> list[AssertionResult]:
                 fit = estimates.fit_power_law(data, quantity=str(p["quantity"]))
                 expected = float(p["expected"])
                 tol = float(p.get("tol", 0.05))
-                if kind == "slope":
-                    ok = abs(fit.slope - expected) <= tol
-                else:
-                    ok = fit.slope >= expected - tol
+                ok = (abs(fit.slope - expected) <= tol if kind == "slope"
+                      else fit.slope >= expected - tol)
                 results.append(AssertionResult(spec.name, kind, fit.slope, expected, tol, ok,
                                                f"residual={fit.residual:.3g}"))
-            elif kind == "value_max":
+            elif kind in ("value_max", "value_min", "ratio_spread"):
                 vals = _collect_all(rows, str(p["quantity"]))
                 limit = float(p["limit"])
-                measured = max(vals)
-                results.append(AssertionResult(spec.name, kind, measured, limit, None,
-                                               measured <= limit, f"n={len(vals)}"))
-            elif kind == "value_min":
-                vals = _collect_all(rows, str(p["quantity"]))
-                limit = float(p["limit"])
-                measured = min(vals)
-                results.append(AssertionResult(spec.name, kind, measured, limit, None,
-                                               measured >= limit, f"n={len(vals)}"))
-            elif kind == "ratio_spread":
-                vals = _collect_all(rows, str(p["quantity"]))
-                limit = float(p["limit"])
-                measured = max(vals) / min(vals)
-                results.append(AssertionResult(spec.name, kind, measured, limit, None,
-                                               measured <= limit, f"n={len(vals)}"))
+                measured = (max(vals) if kind == "value_max" else min(vals) if kind == "value_min"
+                            else max(vals) / min(vals))
+                ok = measured >= limit if kind == "value_min" else measured <= limit
+                results.append(AssertionResult(spec.name, kind, measured, limit, None, ok,
+                                               f"n={len(vals)}"))
             elif kind == "flag_all":
                 vals = _collect_all(rows, str(p["quantity"]))
                 ok = bool(vals) and all(v == 1.0 for v in vals)
@@ -600,7 +616,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
     import time
 
     t0 = time.perf_counter()
-    rows = estimates.run_sweep(build_pipeline(cfg), cfg.h_list)
+    rows = estimates.run_sweep(lambda h: _run_stages(cfg, h), cfg.h_list)
     t1 = time.perf_counter()
     assertions = evaluate_assertions(cfg, rows)
     t2 = time.perf_counter()

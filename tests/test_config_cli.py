@@ -1,6 +1,7 @@
 """Config grammar, pipeline validation, CLI subcommands, determinism."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -135,7 +136,7 @@ symbol = circle_minus_one
     ])
     def test_fractional_stage_integer_refused(self, stage, key, bad, good):
         # int() used to run k = 1.5 as k = 1, with no error row
-        extra = "symbol = xi1\n" if stage == "defect" else ""
+        extra = "symbol = xi1\n" if stage == "defect" else "k = 1\n" if key == "per_decade" else ""
         text = MINIMAL + f"\n[stage {stage}]\n{extra}{key} = {{}}\n"
         with pytest.raises(ConfigError, match=f"{key} must be an integer, got {bad.split()[-1]}"):
             parse_config(text.format(bad))
@@ -482,3 +483,183 @@ class TestDeterminism:
         strip = lambda text: "\n".join(l for l in text.splitlines() if "timing" not in l)
         assert strip(report_markdown(r1)) == strip(report_markdown(r2))
         assert measurements_csv(r1) == measurements_csv(r2)
+
+
+class TestStageDeclarations:
+    """Each stage kind is one function whose signature declares its keys."""
+
+    KEYS = {
+        "construct": {"alpha", "normalization", "smoothed_edges"},
+        "flat_quasimode": {"k", "sigma1_factor", "sigma2_factor"},
+        "propagate": {"graph"},
+        "norms": {"p"},
+        "defect": {"symbol", "symbol2", "powers"},
+        "cwt_norms": {"k", "a_min_pow", "a_max", "per_decade", "reference_a"},
+        "kernel": {"graph", "k", "j_list", "a_list"},
+        "egorov": {"tilt", "k_list", "x1_list"},
+    }
+    REQUIRED = {"k": "1", "symbol": "xi1"}  # a value for each key without a default
+
+    def test_one_function_per_kind(self):
+        import inspect
+
+        from qmlab.config import STAGE_KINDS
+
+        assert set(STAGE_KINDS) == set(self.KEYS)
+        fns = [entry[0] for entry in STAGE_KINDS.values()]
+        assert len(set(fns)) == len(fns) and all(inspect.isfunction(fn) for fn in fns)
+        for kind, (fn, consumes, produces) in STAGE_KINDS.items():
+            assert fn.__name__ == f"_{kind}"
+            assert isinstance(consumes, bool) and isinstance(produces, bool)
+
+    @staticmethod
+    def _text(value) -> str:
+        if isinstance(value, tuple):
+            return " ".join(str(v) for v in value)
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    @pytest.mark.parametrize("kind", sorted(KEYS))
+    def test_parse_accepts_exactly_the_declared_keys(self, kind):
+        import inspect
+
+        from qmlab.config import STAGE_KINDS
+
+        params = list(inspect.signature(STAGE_KINDS[kind][0]).parameters.values())[1:]
+        assert {p.name for p in params} == self.KEYS[kind]
+        lines = [f"{p.name} = " + (self.REQUIRED[p.name] if p.default is p.empty
+                                   else "xi1" if p.default is None else self._text(p.default))
+                 for p in params]
+        text = MINIMAL + f"\n[stage {kind}]\n" + "\n".join(lines) + "\n"
+        assert set(parse_config(text).stages[-1].params) == self.KEYS[kind]
+        with pytest.raises(ConfigError, match=f"unknown key 'bogus' for stage {kind}"):
+            parse_config(text + "bogus = 1\n")
+
+    def test_construct_cli_shares_the_stage_defaults(self, tmp_path):
+        from qmlab.config import STAGE_KINDS, _arguments, _Context
+        from qmlab.grid import write_field
+
+        h, alpha = 2.0 ** -6, 1.0 / 3.0
+        cli_out = tmp_path / "cli.qmf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["construct", "--alpha", repr(alpha), "--h", repr(h),
+                         "--out", str(cli_out)]) == 0
+            cfg = parse_config(f"[experiment]\nname = c\nh_list = {h!r}\n[grid]\n"
+                               f"[stage construct]\nalpha = {alpha!r}\n")
+            assert cfg.grid == {}
+            ctx = _Context(h, cfg.grid)
+            STAGE_KINDS["construct"][0](ctx, **_arguments("construct", cfg.stages[0].params))
+        write_field(ctx.fld, tmp_path / "stage.qmf")
+        assert cli_out.read_bytes() == (tmp_path / "stage.qmf").read_bytes()
+
+
+class TestCwtCliCells:
+    def test_cells_are_plain_numbers(self, tmp_path):
+        from qmlab import wavelets
+        from qmlab.grid import read_field
+
+        field = tmp_path / "t.qmf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["construct", "--alpha", "0.5", "--h", "0.03125",
+                         "--out", str(field)]) == 0
+        out = tmp_path / "coeffs.csv"
+        assert main(["cwt", "--in", str(field), "--k", "1", "--per-decade", "6",
+                     "--a-min-pow", "0.4", "--out", str(out)]) == 0
+        fld = read_field(str(field))
+        h = fld.grid.h
+        part = wavelets.make_partition(h, 1)
+        tab = wavelets.coefficient_norm_table(
+            fld, wavelets.default_wavelet(),
+            wavelets.default_scale_grid(h ** 0.4, 4.0, per_decade=6), part)
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == len(tab["a"]) * (part.J + 1)
+        for n, line in enumerate(lines):
+            i, j = divmod(n, part.J + 1)
+            cells = line.split(",")
+            assert len(cells) == 4 and cells[1] == "" and cells[2] == str(j)
+            assert float(cells[0]) == tab["a"][i]
+            assert float(cells[3]) == tab["bands"][i, j]
+
+
+class TestDefectPowers:
+    """Powers are pairs; a lone symbol takes only (M >= 1, 0)."""
+
+    def _config(self, defect: str) -> str:
+        return MINIMAL.replace("2^-5 2^-6 2^-7", "2^-5") + "\n[stage defect]\n" + defect
+
+    @pytest.mark.parametrize("defect, message", [
+        ("symbol = xi1\npowers = 0 0\n", r"without symbol2 .* got \[\(0, 0\)\]"),
+        ("symbol = xi1\npowers = 1 2\n", r"without symbol2 .* got \[\(1, 2\)\]"),
+        ("symbol = xi1\npowers = 1 0 2\n", r"powers takes \(M1, M2\) pairs, got \[1, 0, 2\]"),
+        ("symbol = xi1\nsymbol2 = circle_minus_one\npowers = 1 0 1\n",
+         r"powers takes \(M1, M2\) pairs, got \[1, 0, 1\]"),
+    ])
+    def test_refused_at_parse_time(self, defect, message):
+        with pytest.raises(ConfigError, match=r"stage 3 \(defect\): " + message):
+            parse_config(self._config(defect))
+
+    def test_rows_hold_the_powers_they_name(self):
+        from qmlab import quasimodes
+
+        text = self._config("symbol = circle_minus_one\npowers = 2 0\n"
+                            "\n[stage defect]\nsymbol = circle_minus_one\n"
+                            "symbol2 = contact_circle(k=1, c=1.0)\npowers = 0 1 1 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = run(parse_config(text)).rows[0].measurements
+            fld = quasimodes.build_t_alpha(quasimodes.TAlphaSpec(h=2.0 ** -5, alpha=0.5),
+                                           quasimodes.grid_for_t_alpha(2.0 ** -5))
+        p1 = parse_symbol_expr("circle_minus_one")
+        p2 = parse_symbol_expr("contact_circle(k=1, c=1.0)")
+        assert rows[("defect_m2_0", None, None, None, 0.5)] == quasimodes.defect(p1, fld, 2).defect
+        for m1, m2 in [(0, 1), (1, 0)]:
+            assert rows[(f"defect_m{m1}_{m2}", None, None, None, 0.5)] == (
+                quasimodes.joint_defect(p1, p2, fld, m1, m2).defect)
+
+    @pytest.mark.parametrize("flags, pair", [(["--m1", "0"], r"\(0, 0\)"),
+                                             (["--m2", "3"], r"\(1, 3\)")])
+    def test_cli_refuses_the_same_inputs(self, tmp_path, capsys, flags, pair):
+        field = tmp_path / "t.qmf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["construct", "--alpha", "0.5", "--h", "0.03125",
+                         "--out", str(field)]) == 0
+        capsys.readouterr()
+        assert main(["defect", "--in", str(field), "--symbol", "circle_minus_one"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"without symbol2 each pair of powers is \(M >= 1, 0\), got \[" + pair,
+                         captured.err)
+
+
+class TestRequiredKeysAndGrid:
+    @pytest.mark.parametrize("stage, key", [
+        ("[stage flat_quasimode]\nsigma1_factor = 3\n", "flat_quasimode"),
+        ("[stage cwt_norms]\nper_decade = 12\n", "cwt_norms"),
+        ("[stage defect]\npowers = 1 0\n", "defect"),
+    ])
+    def test_missing_required_key_refused(self, stage, key):
+        name = {"defect": "symbol"}.get(key, "k")
+        with pytest.raises(ConfigError,
+                           match=rf"stage 3 \({key}\) is missing its required key '{name}'"):
+            parse_config(MINIMAL + "\n" + stage)
+
+    @pytest.mark.parametrize("line, message", [
+        ("n_max = 2048.5", "n_max must be an integer, got 2048.5"),
+        ("half_width = true", "half_width must be a real number, got True"),
+        ("points_per_axis = 64.9", "points_per_axis must be an integer, got 64.9"),
+        ("coverage = wide", "coverage must be a real number, got 'wide'"),
+        ("n_max = 1024 2048", "n_max takes one value, got '1024 2048'"),
+    ])
+    def test_grid_keys_typed_at_parse_time(self, line, message):
+        text = MINIMAL.replace("[stage construct]", f"[grid]\n{line}\n\n[stage construct]")
+        with pytest.raises(ConfigError, match=f"line 7: {re.escape(message)}"):
+            parse_config(text)
+
+    def test_grid_keys_parsed(self):
+        text = MINIMAL.replace("[stage construct]", "[grid]\nhalf_width = 6\ncoverage = 1.5\n"
+                                                    "n_max = 4096.0\n\n[stage construct]")
+        grid = parse_config(text).grid
+        assert grid == {"half_width": 6.0, "coverage": 1.5, "n_max": 4096}
+        assert [type(grid[k]) for k in ("half_width", "coverage", "n_max")] == [float, float, int]
