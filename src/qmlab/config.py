@@ -330,12 +330,11 @@ class ExperimentConfig:
     stages: list[StageSpec]
     assertions: list[AssertionSpec]
     grid: dict = field(default_factory=dict)
-    seed: int = 0
     out_dir: str = "results"
     source_text: str = ""
 
 
-_EXPERIMENT_KEYS = {"name", "h_list", "seed", "out_dir"}
+_EXPERIMENT_KEYS = {"name", "h_list", "out_dir"}
 _GRID_KEYS = {"half_width": _real, "coverage": _real, "n_max": _integer,
               "points_per_axis": _integer}
 _ASSERT_KEYS = {
@@ -457,8 +456,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 payload.params[key] = _typed(key, value, raw, _CHECKS[keys[key].annotation],
                                              many=isinstance(keys[key].default, tuple))
             elif key == "kind":  # of an [assert] section
-                if value not in _ASSERT_KEYS:
-                    raise ValueError(f"unknown assertion kind {value!r}")
+                if isinstance(value, list) or value not in _ASSERT_KEYS:
+                    raise ValueError(f"unknown assertion kind {raw!r}")
                 payload.kind = value
             elif key == "expected" and isinstance(value, str):
                 payload.params[key] = _closed_form(value)
@@ -469,6 +468,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if not stages:
         errors.append("no pipeline: at least one [stage ...] section is required")
+    if "points_per_axis" in grid:
+        errors += [f"[grid] points_per_axis fixes N and cannot be combined with {key}"
+                   for key in ("n_max", "coverage") if key in grid]
 
     h_list = experiment.get("h_list", [])
     h_list = h_list if isinstance(h_list, list) else [h_list]
@@ -507,8 +509,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(errors)
 
     return ExperimentConfig(str(experiment.get("name", "experiment")), h_list, stages, assertions,
-                            grid, seed=int(experiment.get("seed", 0)),
-                            out_dir=str(experiment.get("out_dir", "results")), source_text=text)
+                            grid, out_dir=str(experiment.get("out_dir", "results")),
+                            source_text=text)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ is exactly unitary at the discrete level (dx * dxi * N = 2 pi h per axis).
 
 A field made by :func:`semiclassical_ifft` keeps its spectrum and synthesizes
 its samples on their first read; every other construction leaves it ``None``.
-A spectrum carries its support as a box, a dense block at a lattice origin; the
-T_alpha indicator's box is its sector's, and its N^2 array is made only when read.
-Defects read the block; :func:`lp_norms` never holds the field: p = inf of a
-non-negative spectrum is u(0), an even p is summed on M_i >= (p/2)(b_i - 1) + 1
-points per axis, free of aliasing (Orszag 1971; Boyd 2001, ch. 11), and any
-other p streams the N-lattice synthesis in blocks of x2 columns.
+:func:`semiclassical_fft` returns a carried spectrum and transforms only a field
+without one.  A spectrum carries its support as a box, a dense block at a lattice
+origin; the T_alpha indicator's box is its sector's, and its N^2 array is made
+only when read.  Quantization and L^2 norms of pending samples read the block;
+:func:`lp_norms` never holds the field: p = inf of a non-negative spectrum is
+u(0), an even p is summed on M_i >= (p/2)(b_i - 1) + 1 points per axis, free of
+aliasing (Orszag 1971; Boyd 2001, ch. 11), and any other p streams the N-lattice
+synthesis in blocks of x2 columns.
 
 All operations are pure functions; fields are immutable after construction
 and norms use numpy's fixed-order pairwise summation, so results are
@@ -154,7 +156,8 @@ class Field2D:
 
     ``spectrum``: the spectrum the samples are synthesized from by
     :func:`semiclassical_ifft`, else ``None``.  ``Field2D(grid, None, spectrum)``
-    defers that synthesis to the first read of ``values``.
+    defers that synthesis to the first read of ``values``; given samples carry
+    no spectrum, so the two never disagree.
     """
 
     grid: GridSpec
@@ -164,10 +167,10 @@ class Field2D:
     def __post_init__(self, samples):
         if self.spectrum is not None and self.spectrum.grid != self.grid:
             raise GridError("spectrum grid differs from the field grid")
+        if (samples is None) == (self.spectrum is None):
+            raise GridError("a field takes samples or a spectrum, exactly one")
         if samples is not None:
             object.__setattr__(self, "values", _check_values(self.grid, samples, "field"))
-        elif self.spectrum is None:
-            raise GridError("a field needs samples or a spectrum")
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -179,6 +182,9 @@ class Field2D:
         return "values" not in self.__dict__
 
     def l2_norm(self) -> float:
+        """Riemann-sum L^2 norm; of pending samples, the spectrum's (discrete Plancherel)."""
+        if self.samples_pending:
+            return self.spectrum.l2_norm()
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2)) * self.grid.dx)
 
 
@@ -220,8 +226,10 @@ def semiclassical_fft(u: Field2D) -> SpectralField2D:
     Exact discrete quadrature of (2 pi h)^{-1} Int e^{-i<x,xi>/h} u dx via a
     fast transform; a plane wave on the lattice maps to a single spike of
     value (2L)^2/(2 pi h).  Attaches a warning when the lattice does not
-    cover the band [-2, 2]^2.
+    cover the band [-2, 2]^2.  A carried spectrum is returned as it is.
     """
+    if u.spectrum is not None:
+        return u.spectrum
     g = u.grid
     ph = _alternating_signs(g.points_per_axis)
     coef = g.dx ** 2 / (2.0 * np.pi * g.h)

@@ -8,11 +8,11 @@ compare against the expected h^(M1+M2) decay.
 
 Every quasimode built here is defined by its spectrum u^: the builders
 normalize u^ and synthesize the field from it on the first read of its
-samples.  For x-independent symbols p(hD) is the exact multiplier p(xi),
-so by discrete Plancherel the defect is ||m u^|| / ||u^||, with
-m = p2^M2 p1^M1 evaluated only on the nonzero support of u^.  Fields without
-a spectrum, and x-dependent catalog graph symbols (separated multipliers),
-go through ``apply_left_quantization``; other x-dependent symbols are refused.
+samples.  Defects and the xi side of the localization check read the box of
+the spectrum ``semiclassical_fft`` returns.  Each power of a defect is one
+``apply_left_quantization``; for x-independent symbols the defect is then
+||m u^|| / ||u^|| with m = p2^M2 p1^M1 (discrete Plancherel), and nothing is
+synthesized.
 
 Grids are chosen per h so the lattice covers the unit circle with ~25%
 margin while the annulus of width 2h keeps at least two radial lattice
@@ -181,35 +181,17 @@ class DefectReport:
 def _defect_report(label: str, powers: tuple[int, int], factors, u: Field2D) -> DefectReport:
     """||p_last^M_last ... p_first^M_first u|| / ||u|| for factors [(p, M), ...].
 
-    When u carries its spectrum and no factor depends on x, the product of
-    multipliers is evaluated on the nonzero entries of the spectrum's box only
-    (discrete Plancherel); otherwise each power is applied in x space by
-    :func:`apply_left_quantization`, which quantizes an x-dependent catalog
-    graph symbol as separated multipliers and refuses any other x-dependent
-    symbol.
+    Each power is one :func:`apply_left_quantization`; while no factor depends
+    on x, both norms are box norms of carried spectra (discrete Plancherel).
     """
-    spec = u.spectrum
-    if spec is not None and not any(sym.x_dependent for sym, _ in factors):
-        block, (o1, o2) = spec.box
-        i1, i2 = np.nonzero(block)
-        if i1.size == 0:
-            raise ValueError("defect of the zero field is undefined")
-        xi = u.grid.xi_coords
-        w = v = block[i1, i2]
-        for sym, power in factors:
-            mult = np.asarray(sym.value(0.0, 0.0, xi[i1 + o1], xi[i2 + o2]), dtype=np.complex128)
-            for _ in range(power):
-                v = v * mult
-        d = float(np.sqrt(np.sum(np.abs(v) ** 2)) / np.sqrt(np.sum(np.abs(w) ** 2)))
-    else:
-        base = u.l2_norm()
-        if base == 0.0:
-            raise ValueError("defect of the zero field is undefined")
-        v = u
-        for sym, power in factors:
-            for _ in range(power):
-                v = apply_left_quantization(sym, v)
-        d = v.l2_norm() / base
+    base = u.l2_norm()
+    if base == 0.0:
+        raise ValueError("defect of the zero field is undefined")
+    v = u
+    for sym, power in factors:
+        for _ in range(power):
+            v = apply_left_quantization(sym, v)
+    d = v.l2_norm() / base
     h = u.grid.h
     return DefectReport(label, powers, d, h, d / h ** sum(powers))
 
@@ -235,8 +217,7 @@ def localization_check(u: Field2D, radius: float, side: str = "both") -> float:
         raise ValueError("radius must be smaller than the box half width")
 
     def outside_fraction(values: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> float:
-        r1, r2 = np.meshgrid(c1, c2, indexing="ij")
-        mask = np.hypot(r1, r2) > radius
+        mask = np.hypot(c1[:, None], c2[None, :]) > radius
         total = np.sum(np.abs(values) ** 2)
         if total == 0.0:
             return 0.0
@@ -246,8 +227,9 @@ def localization_check(u: Field2D, radius: float, side: str = "both") -> float:
     if side in ("x", "both"):
         fx = outside_fraction(u.values, u.grid.x_coords, u.grid.x_coords)
     if side in ("xi", "both"):
-        spec = semiclassical_fft(u)
-        fxi = outside_fraction(spec.values, u.grid.xi_coords, u.grid.xi_coords)
+        block, (o1, o2) = semiclassical_fft(u).box
+        xi = u.grid.xi_coords
+        fxi = outside_fraction(block, xi[o1:o1 + block.shape[0]], xi[o2:o2 + block.shape[1]])
     if side == "x":
         return fx
     if side == "xi":
@@ -284,7 +266,7 @@ def build_graph_adapted_quasimode(grid: GridSpec, graph_fn: GraphFn, k: int,
     h = grid.h
     s1 = sigma1_factor * h
     s2 = sigma2_factor * h ** (1.0 / (k + 1))
-    xi1, xi2 = grid.xi_mesh()
+    xi1, xi2 = grid.xi_coords[:, None], grid.xi_coords[None, :]
     a_vals = np.asarray(graph_fn.value(0.0, 0.0, xi2), dtype=float)
     vals = np.exp(-((xi1 - a_vals) ** 2) / (2 * s1 ** 2)
                   - (xi2 ** 2) / (2 * s2 ** 2))

@@ -10,12 +10,13 @@ custom branches) the detection falls back to centered finite differences with
 Richardson extrapolation; every stencil point is evaluated in one batched
 call per graph.
 
-Left quantization p(x, hD) applies p(0, xi) as a spectral multiplier.  A
+Left quantization p(x, hD) multiplies the box of the field's spectrum by
+p(0, xi) on that box's lattice lines, and the result carries the product.  A
 catalog graph symbol xi1 - c0(xi2) - x2 c1(xi2) is affine in x2, and the left
-quantization of x2 c1(xi2) is x2 c1(hD_x2), so its x-dependent part is the
-multiplier c1 along x2 followed by multiplication with x2: two FFT
-multipliers, exact to rounding at every N.  Any other x-dependent symbol
-(hand-built graphs, custom callables, flow pullbacks) is refused.
+quantization of x2 c1(xi2) is x2 c1(hD_x2), so its x-dependent part is x2
+times the synthesis of the box times c1(xi2): exact to rounding at every N.
+Any other x-dependent symbol (hand-built graphs, custom callables, flow
+pullbacks) is refused.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Field2D, SpectralField2D, isfft1d, semiclassical_fft, semiclassical_ifft, sfft1d
+from .grid import Field2D, SpectralField2D, semiclassical_fft, semiclassical_ifft
 
 __all__ = [
     "GraphFn",
@@ -508,22 +509,24 @@ def contact_order(a_sym: SymbolSpec, q_sym: SymbolSpec, xi0, max_order: int,
 def apply_left_quantization(sym: SymbolSpec, u: Field2D) -> Field2D:
     """Apply p(x, hD) to a field.
 
-    p(0, xi) acts as a spectral multiplier.  For an x-dependent catalog graph
-    symbol xi1 - c0(xi2) - x2 c1(xi2), x2 c1(hD_x2) u is subtracted, with
-    c1 = a_x2 read off the graph's jet and applied along x2.  Any other
-    x-dependent symbol raises ValueError.
+    p(0, xi) multiplies the box of u's spectrum, and the result carries the
+    product.  For an x-dependent catalog graph symbol xi1 - c0(xi2) - x2 c1(xi2),
+    x2 times the synthesis of the box times c1(xi2) is subtracted, with c1 = a_x2
+    read off the graph's jet; the result is then sampled.  Any other x-dependent
+    symbol raises ValueError.
     """
     graph = sym.graph_fn
     if sym.x_dependent and (graph is None or graph.terms is None):
         raise ValueError(f"symbol {sym.label!r} depends on x but has no catalog graph; "
                          "only graph symbols xi1 - a(x2, xi2) of a term list are quantized")
     g = u.grid
-    spec = semiclassical_fft(u)
-    xi1, xi2 = g.xi_mesh()
-    mult = np.asarray(sym.value(0.0, 0.0, xi1, xi2), dtype=np.complex128)
-    out = semiclassical_ifft(SpectralField2D(g, spec.values * mult))
+    block, origin = semiclassical_fft(u).box
+    xi1, xi2 = (g.xi_coords[o:o + b] for o, b in zip(origin, block.shape))
+
+    def times(mult):  # the field whose spectrum is the box times mult
+        return semiclassical_ifft(SpectralField2D(g, None, block=block * mult, origin=origin))
+
+    out = times(sym.value(0.0, 0.0, xi1[:, None], xi2[None, :]))
     if not sym.x_dependent:
         return out
-    c1 = graph.jet(0.0, 0.0, g.xi_coords)[2]
-    c1u = isfft1d(c1 * sfft1d(u.values, g, axis=1), g, axis=1)
-    return Field2D(g, out.values - g.x_coords * c1u)
+    return Field2D(g, out.values - g.x_coords * times(graph.jet(0.0, 0.0, xi2)[2]).values)

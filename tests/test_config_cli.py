@@ -66,6 +66,9 @@ class TestParsing:
             parse_config(text)
         assert "bogus" in str(err.value)
         assert "line" in str(err.value)
+        # seed set nothing, so it is no longer a key
+        with pytest.raises(ConfigError, match="line 4: unknown experiment key 'seed'"):
+            parse_config(MINIMAL.replace("h_list", "seed = 1\nh_list"))
 
     def test_all_errors_collected(self):
         text = """
@@ -101,6 +104,10 @@ symbol = circle_minus_one
             parse_config("[experiment]\nname = x\nh_list = 0.1\n[stage warp]\n")
         with pytest.raises(ConfigError, match="unknown assertion kind"):
             parse_config(MINIMAL + "\n[assert x]\nkind = magic\n")
+
+    def test_multi_token_assertion_kind_refused(self):
+        with pytest.raises(ConfigError, match="line 13: unknown assertion kind 'flag all'"):
+            parse_config(MINIMAL + "\n[assert x]\nkind = flag all\nquantity = lp_norm\n")
 
     def test_symbol_expressions(self):
         sym = parse_symbol_expr("contact_circle(k=2, c=1.0)")
@@ -656,6 +663,17 @@ class TestRequiredKeysAndGrid:
         text = MINIMAL.replace("[stage construct]", f"[grid]\n{line}\n\n[stage construct]")
         with pytest.raises(ConfigError, match=f"line 7: {re.escape(message)}"):
             parse_config(text)
+
+    @pytest.mark.parametrize("line", ["n_max = 32", "coverage = 9"])
+    def test_fixed_n_refuses_the_lattice_rule(self, line):
+        key = line.split()[0]
+        text = MINIMAL.replace("[stage construct]", f"[grid]\npoints_per_axis = 64\n{line}\n\n"
+                                                    "[stage construct]")
+        with pytest.raises(ConfigError, match=f"points_per_axis .* combined with {key}$"):
+            parse_config(text)
+        fixed = MINIMAL.replace("[stage construct]", "[grid]\npoints_per_axis = 64\n"
+                                                     "half_width = 6\n\n[stage construct]")
+        assert parse_config(fixed).grid == {"points_per_axis": 64, "half_width": 6.0}
 
     def test_grid_keys_parsed(self):
         text = MINIMAL.replace("[stage construct]", "[grid]\nhalf_width = 6\ncoverage = 1.5\n"

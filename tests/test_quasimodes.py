@@ -31,7 +31,6 @@ from qmlab.quasimodes import (
     localization_check,
     t_alpha_indicator,
 )
-from qmlab import quasimodes
 from qmlab.symbols import (
     apply_left_quantization,
     circle_minus_one,
@@ -234,7 +233,7 @@ class TestLocalization:
             chi = t_alpha_indicator(TAlphaSpec(h=grid.h, alpha=0.5), grid)
         xi1, xi2 = grid.xi_mesh()
         assert np.all(chi.values[np.hypot(xi1, xi2) > 1.5] == 0.0)
-        # ... and the measured fraction only carries transform round-trip noise
+        # ... and the measured fraction is read off that carried spectrum
         assert localization_check(u, 1.5, side="xi") <= 1e-30
 
     def test_gaussian_tails(self):
@@ -308,13 +307,29 @@ def defect_case(name):
     if name.startswith("flat"):
         k = int(name[-1])
         return build_flat_quasimode(g, k), xi1_symbol(), xi2_power_symbol(k + 1)
+    if name == "tilted":  # x-dependent: a synthesis weighted by x2
+        u, _ = build(2.0 ** -6, 0.5)
+        return u, graph_symbol(graph_tilted_circle(0.1)), circle_minus_one()
     u = build_graph_adapted_quasimode(g, graph_circle(), 1)
     return u, graph_symbol(graph_circle()), circle_minus_one()
 
 
+@pytest.fixture
+def syntheses(monkeypatch):
+    calls = []
+    real = grid_module._synthesize
+
+    def counting(spec):
+        calls.append(spec.grid.h)
+        return real(spec)
+
+    monkeypatch.setattr(grid_module, "_synthesize", counting)
+    return calls
+
+
 class TestSpectralSupport:
     @pytest.mark.parametrize("case", ["t_alpha_k1", "t_alpha_k2", "flat_k1", "flat_k2",
-                                      "graph_adapted"])
+                                      "graph_adapted", "tilted"])
     def test_support_defect_matches_fft_path(self, case):
         u, p1, p2 = defect_case(case)
         assert u.spectrum is not None
@@ -369,23 +384,24 @@ class TestSpectralSupport:
         assert raw.spectrum is u.spectrum
         assert Field2D(u.grid, u.values).spectrum is None
 
-    def test_x_dependent_factor_never_uses_support(self, monkeypatch):
-        calls = []
-        real = quasimodes.apply_left_quantization
+    def test_every_consumer_reads_the_carried_spectrum(self, syntheses, monkeypatch):
+        u, _ = build(2.0 ** -5, 0.5)
+        assert semiclassical_fft(u) is u.spectrum
+        p1, p2 = circle_minus_one(), contact_perturbed_circle(1, 1.0)
+        defect(p1, u, 2)
+        joint_defect(p1, p2, u, 1, 1)
+        assert localization_check(u, 1.5, side="xi") == 0.0
+        assert u.samples_pending and syntheses == []
+        transforms = []
+        real = np.fft.fft2
 
-        def counting(sym, v):
-            calls.append(sym.label)
-            return real(sym, v)
+        def counting(*args, **kwargs):
+            transforms.append(args[0].shape)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(quasimodes, "apply_left_quantization", counting)
-        u = build_flat_quasimode(GridSpec(4.0, 32, 0.25), 1)
-        tilted = graph_symbol(graph_tilted_circle(0.1))
-        joint_defect(tilted, xi1_symbol(), u, 1, 1)
-        defect(tilted, u, 2)
-        assert calls == ["xi1"] + [tilted.label] * 3
-        calls.clear()
-        joint_defect(xi1_symbol(), xi2_power_symbol(2), u, 1, 1)
-        assert calls == []
+        monkeypatch.setattr(np.fft, "fft2", counting)
+        joint_defect(graph_symbol(graph_tilted_circle(0.1)), p1, u, 1, 1)
+        assert transforms == [] and u.samples_pending
 
 
 JOINT_DEFECT_K1 = """# Joint defect of the circle and its kth-order-contact perturbation on T_alpha.
@@ -409,18 +425,6 @@ limit = 3.0
 
 
 class TestLazySynthesis:
-    @pytest.fixture
-    def syntheses(self, monkeypatch):
-        calls = []
-        real = grid_module._synthesize
-
-        def counting(spec):
-            calls.append(spec.grid.h)
-            return real(spec)
-
-        monkeypatch.setattr(grid_module, "_synthesize", counting)
-        return calls
-
     def test_samples_synthesized_on_first_read_only(self, syntheses):
         u, _ = build(2.0 ** -5, 0.5)
         assert "values" not in u.__dict__ and syntheses == []
@@ -440,6 +444,8 @@ class TestLazySynthesis:
             u.values
         with pytest.raises(GridError, match="samples or a spectrum"):
             Field2D(g)
+        with pytest.raises(GridError, match="samples or a spectrum"):
+            Field2D(g, u.spectrum.values, u.spectrum)
 
     def test_joint_defect_config_never_synthesizes(self, syntheses):
         with warnings.catch_warnings():
