@@ -263,9 +263,11 @@ def kernel_sample(graph: GraphFn, w: WaveletSpec, part: DyadicPartition, j: int,
         xi_q = np.linspace(lo, hi, n_q)
         dxi = xi_q[1] - xi_q[0]
         chi2 = np.asarray(part.band_multiplier(xi_q, j), dtype=float) ** 2
-        for i, d in enumerate(deltas):
-            phase = _phi_difference(graph, t, d, xi_q)
-            total[i] += np.sum(np.exp(1j * phase / h) * chi2) * dxi
+        # every offset in one (offset, xi) array, in row blocks of at most max_quad_points
+        rows = max(1, max_quad_points // n_q)
+        for s in range(0, len(deltas), rows):
+            phase = _phi_difference(graph, t, deltas[s:s + rows, None], xi_q)
+            total[s:s + rows] += np.sum(np.exp(1j * phase / h) * chi2, axis=1) * dxi
     sup = float(np.max(np.abs(total))) * abs(corr) / (2.0 * np.pi * h)
     return KernelSample(j, a, t, sup, regime, h, k)
 

@@ -130,10 +130,6 @@ class GridSpec:
         """Whether the lattice range [-xi_max, xi_max) contains [-2, 2]^2."""
         return self.xi_max > 2.0
 
-    def xi_mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        xi = self.xi_coords
-        return np.meshgrid(xi, xi, indexing="ij")
-
     def x_mesh(self) -> tuple[np.ndarray, np.ndarray]:
         x = self.x_coords
         return np.meshgrid(x, x, indexing="ij")
@@ -196,10 +192,9 @@ class SpectralField2D:
     given ``values`` whole, at (0, 0).
     """
 
-    def __init__(self, grid: GridSpec, values: np.ndarray | None = None,
-                 warnings: tuple[str, ...] = (), *, block: np.ndarray | None = None,
-                 origin: tuple[int, int] = (0, 0)):
-        self.grid, self.warnings = grid, tuple(warnings)
+    def __init__(self, grid: GridSpec, values: np.ndarray | None = None, *,
+                 block: np.ndarray | None = None, origin: tuple[int, int] = (0, 0)):
+        self.grid = grid
         if block is None:
             self.values = _check_values(grid, values, "spectrum")
             self.box = (self.values, (0, 0))
@@ -219,14 +214,20 @@ class SpectralField2D:
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.box[0]) ** 2)) * self.grid.dxi)
 
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The lattice-coverage warning, when [-xi_max, xi_max) misses the band [-2, 2]^2."""
+        g = self.grid
+        return () if g.resolves_unit_band else (
+            f"frequency lattice [{-g.xi_max:.4g}, {g.xi_max:.4g}) does not cover [-2, 2]^2",)
+
 
 def semiclassical_fft(u: Field2D) -> SpectralField2D:
     """h-scaled Fourier transform of a field.
 
     Exact discrete quadrature of (2 pi h)^{-1} Int e^{-i<x,xi>/h} u dx via a
     fast transform; a plane wave on the lattice maps to a single spike of
-    value (2L)^2/(2 pi h).  Attaches a warning when the lattice does not
-    cover the band [-2, 2]^2.  A carried spectrum is returned as it is.
+    value (2L)^2/(2 pi h).  A carried spectrum is returned as it is.
     """
     if u.spectrum is not None:
         return u.spectrum
@@ -234,10 +235,7 @@ def semiclassical_fft(u: Field2D) -> SpectralField2D:
     ph = _alternating_signs(g.points_per_axis)
     coef = g.dx ** 2 / (2.0 * np.pi * g.h)
     vals = coef * ph[:, None] * ph[None, :] * np.fft.fftshift(np.fft.fft2(u.values))
-    warn = () if g.resolves_unit_band else (
-        f"frequency lattice [{-g.xi_max:.4g}, {g.xi_max:.4g}) does not cover [-2, 2]^2",
-    )
-    return SpectralField2D(g, vals, warn)
+    return SpectralField2D(g, vals)
 
 
 def semiclassical_ifft(spec: SpectralField2D) -> Field2D:

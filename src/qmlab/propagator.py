@@ -31,7 +31,9 @@ step commutes with affine maps of the state).  The phase is
 phi(x1, y, xi0) = y xi(x1; xi0) + H - F xi(x1; xi0) at any output y, with
 half-density amplitude E^{-1/2} = |dy/dy0|^{-1/2}; caustics (E < 0.1) shorten
 the usable horizon.  ``HamiltonianFlow.evaluate`` marches (y, xi) of
-arbitrary points with the same RK4 stepper.
+arbitrary points with the same RK4 stepper; the Egorov pullback
+``conjugated_symbols`` marches each point set it is asked about once, through
+all of its conjugation times, and every pulled-back symbol reads that march.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "apply_w",
     "apply_w_star",
     "conjugated_symbol",
+    "conjugated_symbols",
     "quasimode_pushforward",
 ]
 
@@ -399,36 +402,50 @@ def _pullback_graph_symbol(fn, label: str) -> SymbolSpec:
     return custom_symbol(value, label=label, x_dependent=True, graph=graph)
 
 
-def conjugated_symbol(a_graph: GraphFn, q_graph: GraphFn, x1: float, dt: float):
-    """Pull a and q back along the flow of a at time x1 >= 0.
+def conjugated_symbols(a_graph: GraphFn, q_graphs, x1_list, dt: float) -> dict:
+    """Pull a and every q back along the flow of a at each time x1 >= 0.
 
-    Returns (a_tilde, q_tilde) as graph symbols: each evaluates
-    s(x1, y(x1; x2, xi2), xi(x1; x2, xi2)) at the frozen conjugation time.
-    The flow takes steps of dt, shortened as :func:`integrate_flow` does so
-    that x1 is a whole number of them, and a~ and q~ share one flow per
-    point set.
+    Returns {x1: (a~, q~1, q~2, ...)} of graph symbols: each evaluates
+    s(x1, y(x1; x2, xi2), xi(x1; x2, xi2)) at its frozen conjugation time.
+    They share one memo: a new point set (x2, xi2) is marched once from 0
+    through the sorted distinct times, each segment in whole steps of at most
+    dt (shortened as :func:`integrate_flow` does), so a lone x1 steps by
+    x1 / ceil(x1 / dt).  Each segment restarts the flow's clock, which the
+    autonomous flow of a catalog graph allows; a hand-built a is refused.
     """
     a_graph = _as_graph_fn(a_graph)
-    q_graph = _as_graph_fn(q_graph)
-    if not (x1 >= 0 and dt > 0):
-        raise ValueError(f"conjugation needs x1 >= 0 and dt > 0, got x1 = {x1}, dt = {dt}")
-    # at x1 = 0 one step of length zero: the pullback is the identity
-    flow = HamiltonianFlow(a_graph, x1 / _n_steps(x1, dt) if x1 > 0 else dt)
+    q_graphs = [_as_graph_fn(q) for q in q_graphs]
+    if a_graph.terms is None:
+        raise TypeError(f"conjugation marches the autonomous flow of a catalog graph; "
+                        f"{a_graph.name!r} is hand-built")
+    for x1 in x1_list:
+        if not (x1 >= 0 and dt > 0):
+            raise ValueError(f"conjugation needs x1 >= 0 and dt > 0, got x1 = {x1}, dt = {dt}")
+    times, memo = sorted(set(x1_list)), {}  # memo: the latest point set's key, (y, xi) per time
 
-    memo = {}  # one entry: flowed endpoints of the latest exact (x2, xi2), shared by a~ and q~
-
-    def pullback(fn):
+    def pullback(fn, x1):
         def evaluate(x2, xi2):
             x2, xi2 = np.asarray(x2, dtype=float), np.asarray(xi2, dtype=float)
             key = (x2.shape, x2.tobytes(), xi2.shape, xi2.tobytes())
             if memo.get("key") != key:
-                memo["key"], memo["yxi"] = key, flow.evaluate(x2, xi2, x1)
-            y, xi = memo["yxi"]
+                memo["key"], t, yxi = key, 0.0, np.broadcast_arrays(x2, xi2)
+                for t_next in times:
+                    if t_next > t:
+                        seg = t_next - t
+                        yxi = HamiltonianFlow(a_graph, seg / _n_steps(seg, dt)).evaluate(*yxi, seg)
+                    memo[t_next], t = yxi, t_next
+            y, xi = memo[x1]
             return np.asarray(fn.value(x1, y, xi), dtype=float)
         return evaluate
 
-    return tuple(_pullback_graph_symbol(pullback(g), f"pullback[{g.name}; x1={x1:g}]")
-                 for g in (a_graph, q_graph))
+    return {x1: tuple(_pullback_graph_symbol(pullback(g, x1), f"pullback[{g.name}; x1={x1:g}]")
+                      for g in (a_graph, *q_graphs))
+            for x1 in x1_list}
+
+
+def conjugated_symbol(a_graph: GraphFn, q_graph: GraphFn, x1: float, dt: float):
+    """(a~, q~) of :func:`conjugated_symbols` at the one time x1."""
+    return conjugated_symbols(a_graph, [q_graph], [x1], dt)[x1]
 
 
 def quasimode_pushforward(graph: GraphFn, u: Field2D,

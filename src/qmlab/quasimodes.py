@@ -145,9 +145,7 @@ def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec) -> SpectralField2D:
         )
     inside = inside * (1.0 / (np.sqrt(np.sum(inside ** 2)) * grid.dxi)
                        if spec.normalization == "unit_l2" else h ** (-0.5 - alpha))
-    return SpectralField2D(grid, None, () if grid.resolves_unit_band else (
-        "frequency lattice does not cover [-2, 2]^2",
-    ), block=inside, origin=(box[0].start, box[1].start))
+    return SpectralField2D(grid, block=inside, origin=(box[0].start, box[1].start))
 
 
 def build_t_alpha(spec: TAlphaSpec, grid: GridSpec) -> Field2D:

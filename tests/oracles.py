@@ -11,6 +11,12 @@ from qmlab.grid import Field2D, GridSpec, semiclassical_fft
 from qmlab.propagator import _on_mesh
 
 
+def xi_mesh(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(xi1, xi2) on the full N x N frequency lattice, indexing "ij"."""
+    xi = grid.xi_coords
+    return np.meshgrid(xi, xi, indexing="ij")
+
+
 def random_field(grid: GridSpec, seed: int = 0) -> Field2D:
     """Seeded complex Gaussian field; used by tests and property checks."""
     rng = np.random.default_rng(seed)

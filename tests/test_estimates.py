@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import t_alpha_lower_exponent
-from qmlab.symbols import graph_parabola, graph_shear
+from qmlab.symbols import GraphFn, graph_parabola, graph_shear
 from qmlab.wavelets import default_wavelet, make_partition
 from qmlab.estimates import (
     KernelSample,
@@ -149,6 +149,24 @@ class TestKernel:
     def test_disjoint_windows_zero(self):
         s = kernel_sample(self.graph, W, self.part, 1, 0.3, 0.7)
         assert s.sup_abs == 0.0
+
+    def test_offsets_in_one_array_per_band_interval(self, monkeypatch):
+        sizes = []
+        original = GraphFn.value
+
+        def counting(graph, x1, x2, xi2):
+            sizes.append(np.size(xi2))
+            return original(graph, x1, x2, xi2)
+
+        monkeypatch.setattr(GraphFn, "value", counting)
+        s = kernel_sample(self.graph, W, self.part, 2, 0.5, 0.3)
+        assert s.sup_abs > 0.0
+        assert len(sizes) == 2 * (3 + 1)  # per band interval: three slope probes, one phase array
+        # a point budget of one offset per block sums the same terms
+        n_q, calls = max(sizes), len(sizes)
+        assert kernel_sample(self.graph, W, self.part, 2, 0.5, 0.3,
+                             max_quad_points=n_q).sup_abs == s.sup_abs
+        assert len(sizes) - calls > 2 * (3 + 1)
 
     def test_regime_classification(self):
         thr = 2.0 ** -4 * self.h ** 0.0  # k=1, j=2

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import dense_lp_norm, random_field, restrict_norm
+from oracles import dense_lp_norm, random_field, restrict_norm, xi_mesh
 from qmlab import grid as grid_module
 from qmlab.grid import (
     MAGIC_FIELD,
@@ -29,6 +29,7 @@ from qmlab.grid import (
     write_field,
 )
 from qmlab.quasimodes import TAlphaSpec, build_t_alpha, grid_for_t_alpha
+from qmlab.symbols import apply_left_quantization, xi1_symbol
 
 
 def direct_transform_oracle(u: Field2D):
@@ -70,6 +71,17 @@ class TestGridSpec:
         assert not narrow.resolves_unit_band
         spec = semiclassical_fft(random_field(narrow, 0))
         assert spec.warnings  # warning attached, not fatal
+        assert SpectralField2D(wide, np.zeros((64, 64))).warnings == ()
+        # one text, from the grid, whatever route made the spectrum
+        h = 2.0 ** -7
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the annulus's radial-resolution warning
+            u = build_t_alpha(TAlphaSpec(h=h, alpha=0.5), grid_for_t_alpha(h))
+        routes = (u.spectrum,  # the carried T_alpha box
+                  semiclassical_fft(Field2D(u.grid, u.values)),  # the transform of its samples
+                  apply_left_quantization(xi1_symbol(), u).spectrum)  # a quantized box
+        assert [s.warnings for s in routes] == [
+            ("frequency lattice [-1.257, 1.257) does not cover [-2, 2]^2",)] * 3
 
     def test_lattice_identity(self):
         g = GridSpec(5.0, 128, 0.25)
@@ -109,7 +121,7 @@ class TestTransform:
         x1, x2 = g.x_mesh()
         u = Field2D(g, np.exp(-(x1 ** 2 + x2 ** 2) / (2 * g.h)))
         spec = semiclassical_fft(u)
-        xi1, xi2 = g.xi_mesh()
+        xi1, xi2 = xi_mesh(g)
         exact = np.exp(-(xi1 ** 2 + xi2 ** 2) / (2 * g.h))
         err = np.sqrt(np.sum(np.abs(spec.values - exact) ** 2) / np.sum(np.abs(exact) ** 2))
         assert err <= 1e-6

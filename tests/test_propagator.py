@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import flow_action, flow_positions, plane_wave
+from qmlab.cli import load_shipped_config
+from qmlab.config import parse_config, run
 from qmlab.grid import Field2D, GridSpec
 from qmlab.propagator import (
     CausticError,
@@ -17,6 +19,7 @@ from qmlab.propagator import (
     apply_w_star,
     build_phase,
     conjugated_symbol,
+    conjugated_symbols,
     eikonal_residual,
     integrate_flow,
     quasimode_pushforward,
@@ -464,6 +467,66 @@ class TestConjugation:
                        (float("nan"), 1e-3)):
             with pytest.raises(ValueError, match="x1 >= 0 and dt > 0"):
                 conjugated_symbol(a_g, a_g, x1, dt)
+
+
+class TestSharedPullback:
+    """conjugated_symbols: every pulled-back symbol at every time reads one march."""
+
+    def setup_method(self):
+        self.a_g = graph_tilted_circle(0.1)
+        self.q_gs = [graph_sum(self.a_g, graph_monomial(k, 1.0)) for k in (1, 2)]
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        original = HamiltonianFlow.evaluate
+
+        def counting(flow, y0, xi0, x1):
+            calls.append((x1, np.shape(xi0)))
+            return original(flow, y0, xi0, x1)
+
+        monkeypatch.setattr(HamiltonianFlow, "evaluate", counting)
+        return calls
+
+    def test_each_time_equals_its_own_pullback(self, evaluations):
+        x2, xi2 = mesh(np.linspace(-0.5, 0.5, 7), np.linspace(-0.3, 0.3, 7))
+        pulled = conjugated_symbols(self.a_g, self.q_gs, [0.3, 0.1, 0.0], 1e-3)
+        shared = {x1: [s.graph(x=(x1, x2))(xi2) for s in pulled[x1]] for x1 in pulled}
+        assert [round(x1, 12) for x1, _ in evaluations] == [0.1, 0.2]  # 0 -> 0.1 -> 0.3
+        for x1 in (0.1, 0.3):
+            (a_t, q1_t), (_, q2_t) = (conjugated_symbol(self.a_g, q_g, x1, 1e-3)
+                                      for q_g in self.q_gs)
+            for got, sym in zip(shared[x1], (a_t, q1_t, q2_t)):
+                want = sym.graph(x=(x1, x2))(xi2)
+                if x1 == 0.1:  # the first segment is the lone march of conjugated_symbol
+                    assert np.array_equal(got, want)
+                else:  # 100 + 200 steps against 300
+                    assert np.max(np.abs(got - want)) <= 1e-13
+        for got, g in zip(shared[0.0], [self.a_g, *self.q_gs]):
+            assert np.array_equal(got, g.value(0.0, x2, xi2))  # no march at x1 = 0
+
+    def test_egorov_stage_marches_once(self, evaluations):
+        report = run(parse_config(load_shipped_config("egorov_contact")))
+        assert report.passed
+        # k = 1, 2 at x1 = 0.1, 0.3: one 17-point stencil (max_order 4), two segments
+        assert [(round(x1, 12), shape) for x1, shape in evaluations] == [
+            (0.1, (17,)), (0.2, (17,))]
+
+    def test_k_rows_do_not_depend_on_the_other_ks(self):
+        text = load_shipped_config("egorov_contact")
+        both = run(parse_config(text)).rows[0].measurements
+        alone = run(parse_config(text.replace("k_list = 1 2", "k_list = 1"))).rows[0].measurements
+        assert alone == {key: v for key, v in both.items() if key[2] == 1}
+        assert len(alone) == 4
+
+    def test_negative_time_in_the_list_refused(self):
+        with pytest.raises(ValueError, match="x1 >= 0 and dt > 0"):
+            conjugated_symbols(self.a_g, self.q_gs, [0.1, -0.2], 1e-3)
+
+    def test_hand_built_flow_refused(self):
+        fake = GraphFn("fake", self.a_g.jet, True, self.a_g.xi2_derivative)
+        with pytest.raises(TypeError, match="'fake' is hand-built"):
+            conjugated_symbols(fake, self.q_gs, [0.1], 1e-3)
 
 
 def scalar_contact_oracle(g1, g2, xi0, max_order, tol=1e-8):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import plane_wave
+from oracles import plane_wave, xi_mesh
 from qmlab import grid as grid_module
 from qmlab.config import parse_config, run
 from qmlab.grid import (
@@ -65,7 +65,7 @@ class TestConstruction:
             warnings.simplefilter("ignore")
             chi = t_alpha_indicator(
                 TAlphaSpec(h=h, alpha=0.5, normalization="analytic_prefactor"), grid)
-        xi1, xi2 = grid.xi_mesh()
+        xi1, xi2 = xi_mesh(grid)
         rr = np.hypot(xi1, xi2)
         ang = np.abs(np.arctan2(xi2, xi1))
         outside = ~((np.abs(rr - 1.0) < h) & (ang < h ** 0.5))
@@ -136,7 +136,7 @@ class TestDefects:
                 spec = TAlphaSpec(h=h, alpha=0.5)
                 chi = t_alpha_indicator(spec, grid)
                 u = build_t_alpha(spec, grid)
-            xi1, xi2 = grid.xi_mesh()
+            xi1, xi2 = xi_mesh(grid)
             pvals = xi1 ** 2 + xi2 ** 2 - 1.0
             support_max = np.max(np.abs(pvals[chi.values != 0]))
             rep = defect(circle_minus_one(), u, 1)
@@ -231,7 +231,7 @@ class TestLocalization:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             chi = t_alpha_indicator(TAlphaSpec(h=grid.h, alpha=0.5), grid)
-        xi1, xi2 = grid.xi_mesh()
+        xi1, xi2 = xi_mesh(grid)
         assert np.all(chi.values[np.hypot(xi1, xi2) > 1.5] == 0.0)
         # ... and the measured fraction is read off that carried spectrum
         assert localization_check(u, 1.5, side="xi") <= 1e-30
@@ -282,7 +282,7 @@ class TestAdaptedQuasimodes:
 def full_mesh_indicator(spec: TAlphaSpec, grid: GridSpec) -> np.ndarray:
     """The polar rectangle evaluated on every lattice point (no bounding box)."""
     h, arc = spec.h, spec.h ** spec.alpha
-    xi1, xi2 = grid.xi_mesh()
+    xi1, xi2 = xi_mesh(grid)
     rr = np.hypot(xi1, xi2)
     theta0 = math.atan2(spec.omega0[1], spec.omega0[0])
     ang = np.abs(np.angle(np.exp(1j * (np.arctan2(xi2, xi1) - theta0))))

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import dense_left_quantization, plane_wave, random_field
+from oracles import dense_left_quantization, plane_wave, random_field, xi_mesh
 from qmlab.grid import Field2D, GridSpec, semiclassical_fft
 from qmlab.propagator import conjugated_symbol
 from qmlab.quasimodes import defect, joint_defect
@@ -165,7 +165,7 @@ class TestQuantization:
     def test_circle_symbol_matches_spectral_laplacian(self):
         g = GridSpec(8.0, 128, 0.0625)
         # unit-band-supported smooth field
-        xi1, xi2 = g.xi_mesh()
+        xi1, xi2 = xi_mesh(g)
         from qmlab.grid import SpectralField2D, semiclassical_ifft
 
         bump = np.exp(-((xi1 - 0.6) ** 2 + xi2 ** 2) / (2 * 0.1 ** 2))
@@ -194,7 +194,7 @@ class TestQuantization:
     @pytest.mark.parametrize("k,c", [(1, 1.0), (2, 0.5)])
     def test_flat_contact_matches_spectral_differentiation(self, k, c):
         g = GridSpec(8.0, 128, 0.0625)
-        xi1, xi2 = g.xi_mesh()
+        xi1, xi2 = xi_mesh(g)
         from qmlab.grid import SpectralField2D, semiclassical_ifft
 
         bump = np.exp(-(xi1 ** 2 + xi2 ** 2) / (2 * 0.3 ** 2))
