@@ -313,7 +313,10 @@ def _run_stages(cfg: ExperimentConfig, h: float) -> dict:
     """Execute the pipeline at one h; keys are (quantity, p, k, j, alpha)."""
     ctx = _Context(h, cfg.grid)
     for stage in cfg.stages:
-        STAGE_KINDS[stage.kind][0](ctx, **_arguments(stage.kind, stage.params))
+        fn, consumes, produces = STAGE_KINDS[stage.kind]
+        if produces and not consumes:
+            ctx.fld = None  # let the old field go before the new one is built
+        fn(ctx, **_arguments(stage.kind, stage.params))
     return ctx.rows
 
 

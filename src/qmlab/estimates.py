@@ -220,7 +220,7 @@ def _band_intervals(part: DyadicPartition, j: int) -> list[tuple[float, float]]:
 
 
 def kernel_sample(graph: GraphFn, w: WaveletSpec, part: DyadicPartition, j: int, a: float,
-                  t: float, n_offsets: int = 33, oversample: int = 8,
+                  t: float, oversample: int = 8,
                   max_quad_points: int = 4_000_000) -> KernelSample:
     """Evaluate sup over (x2, z2) of |K_j| at window scale a and separation t.
 
@@ -240,13 +240,11 @@ def kernel_sample(graph: GraphFn, w: WaveletSpec, part: DyadicPartition, j: int,
         return KernelSample(j, a, t, 0.0, regime, h, k)
     corr = a * _window_autocorrelation(w, t / a)
     intervals = _band_intervals(part, j)
-    # transverse offsets bracketing the stationary point delta = t a'(xi)
+    # transverse offsets: 0 and the stationary point delta = t a'(xi) at every probe point
     probe = np.concatenate([np.linspace(lo, hi, 65) for lo, hi in intervals])
     a_xi = graph.jet(0.0, 0.0, probe)[1]  # None: structurally zero
     dphi = np.broadcast_to(np.asarray(0.0 if a_xi is None else a_xi, dtype=float), probe.shape)
-    deltas = np.unique(np.concatenate([[0.0], t * dphi,
-                                       np.linspace(t * dphi.min(), t * dphi.max(),
-                                                   max(2, n_offsets - len(probe) - 1))]))
+    deltas = np.unique(np.concatenate([[0.0], t * dphi]))
     total = np.zeros(len(deltas), dtype=np.complex128)
     for lo, hi in intervals:
         width = hi - lo

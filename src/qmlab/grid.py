@@ -328,7 +328,7 @@ def lp_norms(u: Field2D, ps) -> list[float]:
     block = u.spectrum.box[0] if u.samples_pending else None
     out, lattices = {}, {}
     for p in ps:
-        if block is not None and np.isinf(p) and np.all(block == np.abs(block)):  # S >= 0
+        if block is not None and np.isinf(p) and not (block.imag.any() or (block.real < 0).any()):
             out[p] = float(np.sum(block.real) * (g.dxi ** 2 / (2.0 * np.pi * g.h)))
             continue
         even = float(p).is_integer() and p % 2 == 0

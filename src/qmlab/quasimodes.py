@@ -8,8 +8,10 @@ compare against the expected h^(M1+M2) decay.
 
 Every quasimode built here is defined by its spectrum u^: the builders
 normalize u^ and synthesize the field from it on the first read of its
-samples.  Defects and the xi side of the localization check read the box of
-the spectrum ``semiclassical_fft`` returns.  Each power of a defect is one
+samples.  The polar rectangle's u^ is one complex block on the sector's
+bounding box, allocated once and evaluated only on the annulus.  Defects and
+the xi side of the localization check read the box of the spectrum
+``semiclassical_fft`` returns.  Each power of a defect is one
 ``apply_left_quantization``; for x-independent symbols the defect is then
 ||m u^|| / ||u^|| with m = p2^M2 p1^M1 (discrete Plancherel), and nothing is
 synthesized.
@@ -122,30 +124,36 @@ def t_alpha_indicator(spec: TAlphaSpec, grid: GridSpec) -> SpectralField2D:
     angles = [theta0 - arc, theta0 + arc] + [q * math.pi / 2 for q in range(4) if abs(
         math.remainder(q * math.pi / 2 - theta0, 2 * math.pi)) <= arc]
     corners = [(r * math.cos(t), r * math.sin(t)) for r in (1.0 - h, 1.0 + h) for t in angles]
-    box = tuple(slice(max(0, math.floor(min(c) / grid.dxi) - 2 + n // 2),
-                      max(0, min(n, math.ceil(max(c) / grid.dxi) + 3 + n // 2)))
-                for c in zip(*corners))
-    xi1, xi2 = np.meshgrid(xi[box[0]], xi[box[1]], indexing="ij")
-    rr = np.hypot(xi1, xi2)
-    # both edge modes are exactly 0 off the ring |r - 1| < h, whatever the angle
-    ring = np.abs(rr - 1.0) < h
-    ang = np.full(rr.shape, np.inf)
-    ang[ring] = np.abs(np.angle(np.exp(1j * (np.arctan2(xi2[ring], xi1[ring]) - theta0))))
-    if spec.smoothed_edges:
-        w = h / 8.0
-        inside = np.zeros(rr.shape)
-        inside[ring] = (smoothstep((h - np.abs(rr[ring] - 1.0)) / w)
-                        * smoothstep((arc - ang[ring]) / w))
-    else:
-        inside = (ring & (ang < arc)).astype(float)
-    count = int(np.count_nonzero(inside))
+    (o1, e1), (o2, e2) = ((max(0, math.floor(min(c) / grid.dxi) - 2 + n // 2),
+                           max(0, min(n, math.ceil(max(c) / grid.dxi) + 3 + n // 2)))
+                          for c in zip(*corners))
+    block = np.zeros((max(e1 - o1, 0), max(e2 - o2, 0)), dtype=np.complex128)
+    # Both edge modes are also 0 off the ring |r - 1| < h: each chunk of ~8k box points
+    # evaluates only its rows with inner <= |xi1| <= outer, two lines wider, in two bands.
+    step = max(1, 2 ** 13 // (len(block) + 1))
+    for c0, c1 in ((c, min(c + step, e2)) for c in range(o2, e2, step)):
+        a, b = xi[c0], xi[c1 - 1]
+        outer = math.sqrt(max((1 + h) ** 2 - (0.0 if a <= 0.0 <= b else min(a * a, b * b)), 0))
+        inner = math.sqrt(max((1 - h) ** 2 - max(a * a, b * b), 0))
+        for lo, hi in ((-outer, -inner), (inner, outer)):
+            r0 = max(o1, math.floor(lo / grid.dxi) - 2 + n // 2)
+            r1 = min(e1, math.ceil(hi / grid.dxi) + 3 + n // 2)
+            if r0 < r1:  # a band that spans the box is the chunk's full mesh
+                xi1, xi2 = np.meshgrid(xi[r0:r1], xi[c0:c1], indexing="ij")
+                rr = np.hypot(xi1, xi2)
+                ring = np.abs(rr - 1.0) < h
+                ang = np.abs(np.angle(np.exp(1j * (np.arctan2(xi2[ring], xi1[ring]) - theta0))))
+                block.real[r0 - o1:r1 - o1, c0 - o2:c1 - o2][ring] = (
+                    smoothstep((h - np.abs(rr[ring] - 1.0)) / (h / 8.0))
+                    * smoothstep((arc - ang) / (h / 8.0)) if spec.smoothed_edges else ang < arc)
+    count = int(np.count_nonzero(block))
     if count < 8:
         raise UnderResolvedError(
             f"only {count} lattice points inside the polar rectangle (need >= 8)"
         )
-    inside = inside * (1.0 / (np.sqrt(np.sum(inside ** 2)) * grid.dxi)
-                       if spec.normalization == "unit_l2" else h ** (-0.5 - alpha))
-    return SpectralField2D(grid, block=inside, origin=(box[0].start, box[1].start))
+    block.real *= (1.0 / (np.sqrt(np.sum(block.real ** 2)) * grid.dxi)
+                   if spec.normalization == "unit_l2" else h ** (-0.5 - alpha))
+    return SpectralField2D(grid, block=block, origin=(o1, o2))
 
 
 def build_t_alpha(spec: TAlphaSpec, grid: GridSpec) -> Field2D:
@@ -266,9 +274,13 @@ def build_graph_adapted_quasimode(grid: GridSpec, graph_fn: GraphFn, k: int,
     s2 = sigma2_factor * h ** (1.0 / (k + 1))
     xi1, xi2 = grid.xi_coords[:, None], grid.xi_coords[None, :]
     a_vals = np.asarray(graph_fn.value(0.0, 0.0, xi2), dtype=float)
-    vals = np.exp(-((xi1 - a_vals) ** 2) / (2 * s1 ** 2)
-                  - (xi2 ** 2) / (2 * s2 ** 2))
+    vals = np.subtract(xi1, a_vals, out=np.empty((grid.n, grid.n)))  # the Gaussian, in place
+    np.negative(np.square(vals, out=vals), out=vals)
+    vals /= 2 * s1 ** 2
+    vals -= (xi2 ** 2) / (2 * s2 ** 2)
+    np.exp(vals, out=vals)
     nrm = float(np.sqrt(np.sum(vals ** 2)) * grid.dxi)
     if nrm == 0.0:
         raise UnderResolvedError("the Gaussian spectrum underflows to zero on the lattice")
-    return semiclassical_ifft(SpectralField2D(grid, (vals * (1.0 / nrm)).astype(np.complex128)))
+    vals *= 1.0 / nrm
+    return semiclassical_ifft(SpectralField2D(grid, vals.astype(np.complex128)))

@@ -129,8 +129,9 @@ class GraphFn:
     terms: tuple | None = None
 
     def value(self, x1, x2, xi2):
-        """a alone, the first entry of the jet."""
-        return self.jet(x1, x2, xi2)[0]
+        """a alone, the first entry of the jet; of a catalog graph, only its order-0 terms."""
+        return self.jet(x1, x2, xi2)[0] if self.terms is None else self.xi2_derivative(
+            x1, x2, xi2, 0)
 
     __call__ = value
 
@@ -200,7 +201,7 @@ def _graph(name: str, *terms) -> GraphFn:
             else:
                 continue
             out = p if out is None else out + p
-        return np.zeros(np.broadcast(x2, t).shape) if out is None else out
+        return np.zeros(np.broadcast(x1, x2, t).shape) if out is None else out
 
     return GraphFn(name, jet, any(j for j, _, _ in terms), xi2_derivative, terms)
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -681,3 +682,46 @@ class TestRequiredKeysAndGrid:
         grid = parse_config(text).grid
         assert grid == {"half_width": 6.0, "coverage": 1.5, "n_max": 4096}
         assert [type(grid[k]) for k in ("half_width", "coverage", "n_max")] == [float, float, int]
+
+
+class TestFieldLifetime:
+    """A stage that builds a field without reading one lets the old field go first."""
+
+    def test_flat_build_runs_after_the_old_field_is_freed(self, monkeypatch):
+        from qmlab import quasimodes
+
+        real = quasimodes.build_flat_quasimode
+        built, alive = [], []
+
+        def building(grid, k, **kwargs):
+            alive.append([ref() is not None for ref in built])
+            u = real(grid, k, **kwargs)
+            built.append(weakref.ref(u))
+            return u
+
+        monkeypatch.setattr(quasimodes, "build_flat_quasimode", building)
+        assert run(parse_config(load_shipped_config("cwt_decay"))).passed
+        assert alive == [[], [False]]  # k = 1, then k = 2 with the k = 1 field dead
+
+    def test_propagate_still_receives_the_field(self, monkeypatch):
+        from qmlab import config as config_module
+        from qmlab import quasimodes
+
+        real_build, real_push = quasimodes.build_flat_quasimode, config_module.quasimode_pushforward
+        built, received = [], []
+
+        def building(grid, k, **kwargs):
+            built.append(real_build(grid, k, **kwargs))
+            return built[-1]
+
+        def pushing(graph, u):
+            received.append(u)
+            return real_push(graph, u)
+
+        monkeypatch.setattr(quasimodes, "build_flat_quasimode", building)
+        monkeypatch.setattr(config_module, "quasimode_pushforward", pushing)
+        text = ("[experiment]\nname = pushed\nh_list = 2^-4\n\n[grid]\nhalf_width = 8\n"
+                "points_per_axis = 64\n\n[stage flat_quasimode]\nk = 1\n\n"
+                "[stage propagate]\ngraph = circle\n\n[stage norms]\np = 2\n")
+        report = run(parse_config(text))
+        assert report.passed and received == built and len(built) == 1

@@ -416,7 +416,21 @@ class TestBoxedNormRules:
         assert lp_norm(u, np.inf) == pytest.approx(want, rel=1e-15, abs=0.0)
         assert u.samples_pending
 
-    @pytest.mark.parametrize("entry", [-1.0, 1j])
+    @pytest.mark.parametrize("signed_zero", [False, True])
+    def test_sup_of_non_negative_box_is_u0_exactly(self, signed_zero, monkeypatch):
+        # -0.0 is not negative: the box still reads u(0), with nothing synthesized
+        spec = stream_case_spectrum("1/3,sharp", 256)
+        g, (block, origin) = spec.grid, spec.box
+        if signed_zero:
+            block = block.copy()
+            block[tuple(np.argwhere(block == 0)[0])] = -0.0
+            spec = SpectralField2D(g, block=block, origin=origin)
+        monkeypatch.setattr(grid_module, "_column_blocks", None)
+        assert lp_norms(semiclassical_ifft(spec), [np.inf]) == [
+            float(np.sum(block.real) * (g.dxi ** 2 / (2.0 * np.pi * g.h)))]
+
+    # 1 + 1e-200j: an imaginary part below the rounding of the modulus, |S| == Re S
+    @pytest.mark.parametrize("entry", [-1.0, 1j, 1 + 1e-200j, -5e-324])
     def test_signed_or_complex_block_streams(self, entry, monkeypatch):
         spec = stream_case_spectrum("1/2,sharp", 256)
         block, origin = spec.box

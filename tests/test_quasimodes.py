@@ -1,6 +1,7 @@
 """Model quasimode construction and defect measurement contracts."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -344,21 +345,49 @@ class TestSpectralSupport:
 
     @pytest.mark.parametrize("smoothed", [False, True])
     @pytest.mark.parametrize("alpha", [0.0, 0.01, 1.0 / 3.0, 1.0])
-    @pytest.mark.parametrize("omega0", [(1.0, 0.0), (0.6, 0.8)])
+    # (0, 1), (-1, 0) and (-0.6, -0.8) put the annulus on both sides of xi1 = 0
+    @pytest.mark.parametrize("omega0", [(1.0, 0.0), (0.6, 0.8), (0.0, 1.0), (-1.0, 0.0),
+                                        (-0.6, -0.8)])
     def test_indicator_bitwise_equal_to_full_mesh(self, omega0, alpha, smoothed):
-        for h in (2.0 ** -5, 2.0 ** -7):
-            grid = grid_for_t_alpha(h)
-            spec = TAlphaSpec(h=h, alpha=alpha, omega0=omega0, smoothed_edges=smoothed,
-                              normalization="analytic_prefactor")
-            oracle = full_mesh_indicator(spec, grid) * h ** (-0.5 - alpha)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                if np.count_nonzero(oracle) < 8:
-                    with pytest.raises(UnderResolvedError):
-                        t_alpha_indicator(spec, grid)
-                    continue
-                chi = t_alpha_indicator(spec, grid)
-            assert np.array_equal(chi.values, oracle)
+        # L = 13 is the resolved grid: 8.3 radial lattice lines across the annulus
+        for half_width, h in ((5.0, 2.0 ** -5), (5.0, 2.0 ** -7), (13.0, 2.0 ** -5)):
+            grid = grid_for_t_alpha(h, half_width=half_width)
+            oracle = full_mesh_indicator(
+                TAlphaSpec(h=h, alpha=alpha, omega0=omega0, smoothed_edges=smoothed), grid)
+            for normalization in ("analytic_prefactor", "unit_l2"):
+                spec = TAlphaSpec(h=h, alpha=alpha, omega0=omega0, smoothed_edges=smoothed,
+                                  normalization=normalization)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    if np.count_nonzero(oracle) < 8:
+                        with pytest.raises(UnderResolvedError):
+                            t_alpha_indicator(spec, grid)
+                        continue
+                    chi = t_alpha_indicator(spec, grid)
+                # unit_l2 sums the squares over the box, in the box's order
+                (o1, o2), shape = chi.box[1], chi.box[0].shape
+                box = oracle[o1:o1 + shape[0], o2:o2 + shape[1]]
+                assert np.count_nonzero(box) == np.count_nonzero(oracle)
+                scale = (1.0 / (np.sqrt(np.sum(box.real ** 2)) * grid.dxi)
+                         if normalization == "unit_l2" else h ** (-0.5 - alpha))
+                assert np.array_equal(chi.values, oracle * scale)
+
+    def test_indicator_allocates_its_block_once(self):
+        # the parent's box-wide meshes peaked at 3.69 block sizes here, the annulus chunks
+        # at 1.51: the complex block plus the squares of its real part for unit_l2
+        h = 2.0 ** -9
+        grid = grid_for_t_alpha(h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tracemalloc.start()
+            try:
+                chi = t_alpha_indicator(TAlphaSpec(h=h, alpha=0.01), grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        block = chi.box[0]
+        assert block.shape == (343, 1325)
+        assert peak <= 2.0 * block.nbytes, peak / block.nbytes
 
     def test_builders_normalize_the_carried_spectrum(self):
         h, alpha = 2.0 ** -5, 0.5

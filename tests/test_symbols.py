@@ -321,6 +321,17 @@ class TestGraphJets:
                 assert _circle_sqrt(tv, r) == float(circle_sqrt_where(tv, r))
 
     @pytest.mark.parametrize("g", JET_GRAPHS, ids=lambda g: g.name)
+    def test_value_is_the_jets_first_entry_bitwise(self, g):
+        # value folds only the order-0 terms; on broadcast (x1, x2, xi2), across the seam
+        args = (np.array([0.0, 0.4])[:, None, None], np.array([-1.0, 0.0, 0.7])[None, :, None],
+                np.array(self.SEAM_POINTS)[None, None, :])
+        got, want = np.asarray(g.value(*args)), np.asarray(g.jet(*args)[0])
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+        for tv in self.SEAM_POINTS:
+            assert g.value(0.1, 0.3, tv) == g.jet(0.1, 0.3, tv)[0]
+
+    @pytest.mark.parametrize("g", JET_GRAPHS, ids=lambda g: g.name)
     def test_jet_matches_finite_differences(self, g):
         x2, xi2 = np.meshgrid([-1.0, 0.5], [-0.6, 0.3, 0.8], indexing="ij")
         eps = 1e-4
