@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field2D, GridSpec, isfft1d, sfft1d
-from .symbols import GraphBranch, GraphFn, SymbolSpec, custom_symbol
+from .symbols import GraphFn, graph_symbol
 
 __all__ = [
     "HamiltonianFlow",
@@ -385,33 +385,18 @@ def _as_graph_fn(sym) -> GraphFn:
                     "(use graph_catalog / graph_* factories)")
 
 
-def _pullback_graph_symbol(fn, label: str) -> SymbolSpec:
-    """Wrap a numeric pullback a~(x2, xi2) as the graph symbol xi1 - a~."""
-
-    def value(x1v, x2v, xi1v, xi2v):
-        x2b, xi1b, xi2b = np.broadcast_arrays(np.asarray(x2v, dtype=float),
-                                              np.asarray(xi1v, dtype=float),
-                                              np.asarray(xi2v, dtype=float))
-        return xi1b - fn(x2b, xi2b)
-
-    def graph(x, xi0):
-        x2f = x[1]
-        return GraphBranch(lambda t: fn(x2f, np.asarray(t, dtype=float)), None,
-                           label=label)
-
-    return custom_symbol(value, label=label, x_dependent=True, graph=graph)
-
-
 def conjugated_symbols(a_graph: GraphFn, q_graphs, x1_list, dt: float) -> dict:
     """Pull a and every q back along the flow of a at each time x1 >= 0.
 
-    Returns {x1: (a~, q~1, q~2, ...)} of graph symbols: each evaluates
-    s(x1, y(x1; x2, xi2), xi(x1; x2, xi2)) at its frozen conjugation time.
-    They share one memo: a new point set (x2, xi2) is marched once from 0
-    through the sorted distinct times, each segment in whole steps of at most
-    dt (shortened as :func:`integrate_flow` does), so a lone x1 steps by
-    x1 / ceil(x1 / dt).  Each segment restarts the flow's clock, which the
-    autonomous flow of a catalog graph allows; a hand-built a is refused.
+    Returns {x1: (a~, q~1, q~2, ...)} of graph symbols of hand-built graphs,
+    with no term list and no closed-form derivative: each evaluates
+    s(x1, y(x1; x2, xi2), xi(x1; x2, xi2)) at its frozen conjugation time,
+    whatever x1 it is handed.  They share one memo: a new point set (x2, xi2)
+    is marched once from 0 through the sorted distinct times, each segment in
+    whole steps of at most dt (shortened as :func:`integrate_flow` does), so a
+    lone x1 steps by x1 / ceil(x1 / dt).  Each segment restarts the flow's
+    clock, which the autonomous flow of a catalog graph allows; a hand-built a
+    is refused.
     """
     a_graph = _as_graph_fn(a_graph)
     q_graphs = [_as_graph_fn(q) for q in q_graphs]
@@ -424,7 +409,7 @@ def conjugated_symbols(a_graph: GraphFn, q_graphs, x1_list, dt: float) -> dict:
     times, memo = sorted(set(x1_list)), {}  # memo: the latest point set's key, (y, xi) per time
 
     def pullback(fn, x1):
-        def evaluate(x2, xi2):
+        def jet(_x1, x2, xi2):
             x2, xi2 = np.asarray(x2, dtype=float), np.asarray(xi2, dtype=float)
             key = (x2.shape, x2.tobytes(), xi2.shape, xi2.tobytes())
             if memo.get("key") != key:
@@ -435,12 +420,11 @@ def conjugated_symbols(a_graph: GraphFn, q_graphs, x1_list, dt: float) -> dict:
                         yxi = HamiltonianFlow(a_graph, seg / _n_steps(seg, dt)).evaluate(*yxi, seg)
                     memo[t_next], t = yxi, t_next
             y, xi = memo[x1]
-            return np.asarray(fn.value(x1, y, xi), dtype=float)
-        return evaluate
+            return np.asarray(fn.value(x1, y, xi), dtype=float), None, None, None
+        return graph_symbol(GraphFn(f"pullback[{fn.name}; x1={x1:g}]", jet, True,
+                                    lambda *_: None))
 
-    return {x1: tuple(_pullback_graph_symbol(pullback(g, x1), f"pullback[{g.name}; x1={x1:g}]")
-                      for g in (a_graph, *q_graphs))
-            for x1 in x1_list}
+    return {x1: tuple(pullback(g, x1) for g in (a_graph, *q_graphs)) for x1 in x1_list}
 
 
 def conjugated_symbol(a_graph: GraphFn, q_graph: GraphFn, x1: float, dt: float):

@@ -5,10 +5,10 @@ xi1 = a(x, xi2) is one term list of (j, c, m) = x2^j * c * xi2^m, m = None for
 the seam-continued circle; its jet (a and the three partials the Hamiltonian
 flow needs, None where structurally zero), its closed-form
 xi2-derivatives (contact order is read off exactly) and graph sums all derive
-from that list.  When a closed form is not available (flow pullbacks and
-custom branches) the detection falls back to centered finite differences with
-Richardson extrapolation; every stencil point is evaluated in one batched
-call per graph.
+from that list.  Contact detection reads a symbol's ``graph_fn`` alone.  When
+a closed form is not available (flow pullbacks and other hand-built graphs)
+it falls back to centered finite differences with Richardson extrapolation;
+every stencil point is evaluated in one batched call per graph.
 
 Left quantization p(x, hD) multiplies the box of the field's spectrum by
 p(0, xi) on that box's lattice lines, and the result carries the product.  A
@@ -22,7 +22,7 @@ pullbacks) is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -31,7 +31,6 @@ from .grid import Field2D, SpectralField2D, semiclassical_fft, semiclassical_iff
 
 __all__ = [
     "GraphFn",
-    "GraphBranch",
     "graph_circle",
     "graph_parabola",
     "graph_flat",
@@ -132,8 +131,6 @@ class GraphFn:
         """a alone, the first entry of the jet; of a catalog graph, only its order-0 terms."""
         return self.jet(x1, x2, xi2)[0] if self.terms is None else self.xi2_derivative(
             x1, x2, xi2, 0)
-
-    __call__ = value
 
 
 # jet entries of the xi2-orders 0, 1 of a term and of their x2-derivatives
@@ -266,75 +263,32 @@ def graph_catalog(name: str, **params) -> GraphFn:
 
 
 # ---------------------------------------------------------------------------
-# graph branches: callables xi2 -> xi1 with optional closed-form derivatives
+# symbols and their factories
 # ---------------------------------------------------------------------------
-
-class GraphBranch:
-    """Branch of {p = 0} as xi1 = g(xi2) at a fixed base point x."""
-
-    def __init__(self, fn: Callable, deriv: Callable | None = None, label: str = "graph"):
-        self._fn = fn
-        self._deriv = deriv
-        self.label = label
-
-    def __call__(self, xi2):
-        return self._fn(xi2)
-
-    def derivative(self, xi2, order: int):
-        """Closed-form d^order g / dxi2^order, or None when unavailable."""
-        if order == 0:
-            return self._fn(xi2)
-        if self._deriv is None:
-            return None
-        return self._deriv(xi2, order)
-
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """Named, parameterized symbol with evaluators.
+    """Named symbol p(x1, x2, xi1, xi2) with its evaluator.
 
-    value takes broadcastable (x1, x2, xi1, xi2).
-    ``graph`` returns the branch of {p = 0} through a requested point.
-    ``graph_fn`` is the graph a of a graph symbol xi1 - a(x, xi2), None
-    otherwise; an x-dependent symbol is quantized only through the term list
-    of that graph (see :func:`apply_left_quantization`).
+    ``value`` takes broadcastable (x1, x2, xi1, xi2).  ``graph_fn`` is the
+    branch xi1 = a(x, xi2) of {p = 0} that contact detection reads, None
+    when the symbol has no graph representation; an x-dependent symbol is
+    quantized only through the term list of that graph (see
+    :func:`apply_left_quantization`).
     """
 
-    family: str
     label: str
-    params: dict = field(default_factory=dict)
     x_dependent: bool = False
     value: Callable = None
-    _graph: Callable = None  # (x, xi0) -> GraphBranch
     graph_fn: GraphFn | None = None
 
-    def graph(self, x=(0.0, 0.0), xi0=None) -> GraphBranch:
-        if self._graph is None:
-            raise ValueError(f"symbol '{self.label}' has no graph representation")
-        return self._graph(x, xi0)
-
-
-# ---------------------------------------------------------------------------
-# symbol factories
-# ---------------------------------------------------------------------------
 
 def circle_minus_one() -> SymbolSpec:
-    """p(xi) = |xi|^2 - 1."""
-
-    def graph(x, xi0):
-        sign = 1.0 if xi0 is None or xi0[0] >= 0 else -1.0
-        return GraphBranch(
-            lambda t: sign * _circle_sqrt(t, 0),
-            lambda t, r: sign * _circle_sqrt(t, r) if r <= _CIRCLE_MAX_ORDER else None,
-            label="circle_branch",
-        )
-
+    """p(xi) = |xi|^2 - 1; its graph is the upper branch :func:`graph_circle`."""
     return SymbolSpec(
-        family="circle_minus_one",
         label="circle_minus_one",
-        x_dependent=False,
         value=lambda x1, x2, xi1, xi2: np.asarray(xi1) ** 2 + np.asarray(xi2) ** 2 - 1.0,
-        _graph=graph,
+        graph_fn=graph_circle(),
     )
 
 
@@ -343,47 +297,34 @@ def contact_perturbed_circle(k: int, c: float) -> SymbolSpec:
     if k < 1:
         raise ValueError("contact order parameter k must be >= 1")
     return replace(graph_symbol(graph_sum(graph_circle(), graph_monomial(k, c))),
-                   family="contact_perturbed_circle", label=f"contact_circle(k={k}, c={c})",
-                   params={"k": k, "c": c})
+                   label=f"contact_circle(k={k}, c={c})")
 
 
 def flat_contact(k: int, c: float) -> SymbolSpec:
     """p(xi) = xi1 - c * xi2^(k+1): local normal form of kth-order contact."""
-    return replace(graph_symbol(graph_monomial(k, c)), family="flat_contact",
-                   label=f"flat_contact(k={k}, c={c})", params={"k": k, "c": c})
+    return replace(graph_symbol(graph_monomial(k, c)), label=f"flat_contact(k={k}, c={c})")
 
 
 def graph_symbol(graph_fn: GraphFn) -> SymbolSpec:
-    """p(x, xi) = xi1 - a(x, xi2) for a catalog graph a."""
-
+    """p(x, xi) = xi1 - a(x, xi2) for a graph a, catalog or hand-built."""
     return SymbolSpec(
-        family="graph",
         label=f"graph[{graph_fn.name}]",
-        params={"graph": graph_fn.name},
         x_dependent=graph_fn.x_dependent,
         value=lambda x1, x2, xi1, xi2: np.asarray(xi1) - graph_fn.value(x1, x2, xi2),
-        _graph=lambda x, xi0: GraphBranch(
-            lambda t: graph_fn.value(x[0], x[1], t),
-            lambda t, r: graph_fn.xi2_derivative(x[0], x[1], t, r),
-            label=f"graph[{graph_fn.name}]",
-        ),
         graph_fn=graph_fn,
     )
 
 
-def custom_symbol(value, label="custom", x_dependent=False, graph=None) -> SymbolSpec:
-    """Symbol from a plain callable; ``graph`` (x, xi0) -> GraphBranch, if
-    given, is its branch of {p = 0} (else it has no graph representation)."""
-    return SymbolSpec(family="custom", label=label, x_dependent=x_dependent, value=value,
-                      _graph=graph)
+def custom_symbol(value, label="custom", x_dependent=False) -> SymbolSpec:
+    """Symbol from a plain callable, with no graph representation; a symbol
+    with a graph is :func:`graph_symbol` of a hand-built :class:`GraphFn`."""
+    return SymbolSpec(label=label, x_dependent=x_dependent, value=value)
 
 
 def multiplier_symbol(fn_of_xi, label) -> SymbolSpec:
     """x-independent symbol p(xi1, xi2) given as a plain function of xi."""
     return SymbolSpec(
-        family="multiplier",
         label=label,
-        x_dependent=False,
         value=lambda x1, x2, xi1, xi2: fn_of_xi(np.asarray(xi1), np.asarray(xi2)),
     )
 
@@ -434,30 +375,39 @@ def _richardson_derivative(fn, t0: float, order: int, step: float = _FD_STEPS[0]
 
 def contact_order(a_sym: SymbolSpec, q_sym: SymbolSpec, xi0, max_order: int,
                   x=(0.0, 0.0), tol: float = 1e-8) -> ContactReport:
-    """Order of contact of the two characteristic graphs at xi0.
+    """Order of contact of the two characteristic graphs at xi0, over the point x.
 
-    k = (order of the first non-vanishing xi2-derivative of g1 - g2) - 1.
-    Derivatives within [tol_r/10, tol_r] of the vanishing threshold flag the
-    report inconclusive rather than silently classifying.  The stencils of
-    every order and both Richardson steps are evaluated in one batched call per graph.
+    The graphs are the symbols' ``graph_fn`` at x = (x1, x2), read as functions
+    of xi2; xi0 must lie on both.  k = (order of the first non-vanishing
+    xi2-derivative of g1 - g2) - 1, each derivative in closed form where both
+    graphs have one and by Richardson extrapolation otherwise.  Derivatives
+    within [tol_r/10, tol_r] of the vanishing threshold flag the report
+    inconclusive rather than silently classifying.  The stencils of every
+    order and both Richardson steps are evaluated in one batched call per graph.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    g1 = a_sym.graph(x=x, xi0=xi0)
-    g2 = q_sym.graph(x=x, xi0=xi0)
+    for sym in (a_sym, q_sym):
+        if sym.graph_fn is None:
+            raise ValueError(f"symbol '{sym.label}' has no graph representation")
+    g1, g2 = a_sym.graph_fn, q_sym.graph_fn
+    x1, x2 = x
     t0 = float(xi0[1])
     steps = (_FD_STEPS[0], _FD_STEPS[0] / 2.0)
     pts = np.array(sorted({t0} | {t0 + (r / 2.0 - i) * s for s in steps
                                   for r in range(1, max_order + 2) for i in range(r + 1)}))
 
     def tabulate(g):
-        vals = np.broadcast_to(np.asarray(g(pts), dtype=float), pts.shape)
+        vals = np.broadcast_to(np.asarray(g.value(x1, x2, pts), dtype=float), pts.shape)
         return dict(zip(pts.tolist(), vals.tolist()))
 
     v1, v2 = tabulate(g1), tabulate(g2)
 
-    gap = abs(v1[t0] - v2[t0])
     scale0 = 1.0 + abs(v1[t0])
+    if abs(v1[t0] - xi0[0]) > tol * scale0:
+        raise ContactError(f"{tuple(xi0)} is not on the graph of {a_sym.label} "
+                           f"(xi1 = {v1[t0]:.6g} there)")
+    gap = abs(v1[t0] - v2[t0])
     if gap > tol * scale0:
         raise ContactError(
             f"graphs of {a_sym.label} and {q_sym.label} do not intersect at {tuple(xi0)} "
@@ -473,8 +423,8 @@ def contact_order(a_sym: SymbolSpec, q_sym: SymbolSpec, xi0, max_order: int,
     order_found = None
     first_nonzero = 0.0
     for r in range(1, max_order + 2):
-        d1r = g1.derivative(t0, r)
-        d2r = g2.derivative(t0, r)
+        d1r = g1.xi2_derivative(x1, x2, t0, r)
+        d2r = g2.xi2_derivative(x1, x2, t0, r)
         if d1r is not None and d2r is not None:
             dr = float(d1r) - float(d2r)
         else:
@@ -490,7 +440,7 @@ def contact_order(a_sym: SymbolSpec, q_sym: SymbolSpec, xi0, max_order: int,
         if tol_r / 10.0 <= abs(dr) <= tol_r:
             inconclusive = True
 
-    curv = g1.derivative(t0, 2)
+    curv = g1.xi2_derivative(x1, x2, t0, 2)
     if curv is None:
         curv = _richardson_derivative(v1.__getitem__, t0, 2)
     return ContactReport(

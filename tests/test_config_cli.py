@@ -112,8 +112,8 @@ symbol = circle_minus_one
 
     def test_symbol_expressions(self):
         sym = parse_symbol_expr("contact_circle(k=2, c=1.0)")
-        assert sym.params == {"k": 2, "c": 1.0}
-        assert parse_symbol_expr("circle_minus_one").family == "circle_minus_one"
+        assert sym.label == "contact_circle(k=2, c=1.0)"
+        assert parse_symbol_expr("circle_minus_one").label == "circle_minus_one"
         assert parse_symbol_expr("xi2_power(m=3)").label == "xi2^3"
         with pytest.raises(ValueError, match="unknown symbol"):
             parse_symbol_expr("warp(k=1)")
@@ -130,8 +130,8 @@ symbol = circle_minus_one
             parse_symbol_expr("xi2_power(m=2.5)")
         with pytest.raises(ValueError, match="k must be an integer"):
             parse_graph_expr("monomial(k=1.5, c=1.0)")
-        assert parse_symbol_expr("contact_circle(k=2, c=1)").params["k"] == 2
-        assert parse_symbol_expr("contact_circle(k=2.0, c=1)").params["k"] == 2
+        assert parse_symbol_expr("contact_circle(k=2, c=1)").label == "contact_circle(k=2, c=1.0)"
+        assert parse_symbol_expr("contact_circle(k=2.0, c=1)").label == "contact_circle(k=2, c=1.0)"
 
     @pytest.mark.parametrize("stage, key, bad, good", [
         ("flat_quasimode", "k", "1.5", "2.0"),

@@ -417,7 +417,7 @@ class TestConjugation:
         q_g = graph_sum(a_g, graph_monomial(1, 1.0))
         _, q_t = conjugated_symbol(a_g, q_g, 0.0, 1e-3)
         t = np.linspace(-0.3, 0.3, 7)
-        np.testing.assert_allclose(q_t.graph(x=(0.0, 0.2))(t),
+        np.testing.assert_allclose(q_t.graph_fn.value(0.0, 0.2, t),
                                    q_g.value(0.0, 0.2, t), atol=1e-12)
 
     def test_constant_coefficient_conserved(self):
@@ -426,7 +426,7 @@ class TestConjugation:
         _, q_t = conjugated_symbol(a_g, q_g, 0.3, 1e-3)
         t = np.linspace(-0.3, 0.3, 7)
         # xi2 conserved for x-independent a: pullback equals the original graph
-        np.testing.assert_allclose(q_t.graph(x=(0.3, 0.0))(t),
+        np.testing.assert_allclose(q_t.graph_fn.value(0.3, 0.0, t),
                                    q_g.value(0.0, 0.0, t), atol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -447,7 +447,7 @@ class TestConjugation:
         # (0, 0) is the base point of the egorov stage
         a_g = graph_tilted_circle(0.1)
         a_t, _ = conjugated_symbol(a_g, graph_sum(a_g, graph_monomial(1, 1.0)), x1, 1e-3)
-        flowed = float(a_t.graph(x=(x1, x2))(xi2))
+        flowed = float(a_t.graph_fn.value(x1, x2, xi2))
         assert abs(flowed - float(a_g.value(x1, x2, xi2))) <= 1e-12
 
     def test_step_rounded_as_integrate_flow(self):
@@ -459,7 +459,7 @@ class TestConjugation:
             a_t, q_t = conjugated_symbol(a_g, q_g, x1, dt)
             X2, XI2 = mesh(x2, xi2)
             want = q_g.value(x1, flow_positions(fl)[-1], fl.xi_of[-1])
-            assert np.array_equal(q_t.graph(x=(x1, X2))(XI2), want)
+            assert np.array_equal(q_t.graph_fn.value(x1, X2, XI2), want)
 
     def test_bad_time_or_step_refused(self):
         a_g = graph_tilted_circle(0.1)
@@ -491,13 +491,13 @@ class TestSharedPullback:
     def test_each_time_equals_its_own_pullback(self, evaluations):
         x2, xi2 = mesh(np.linspace(-0.5, 0.5, 7), np.linspace(-0.3, 0.3, 7))
         pulled = conjugated_symbols(self.a_g, self.q_gs, [0.3, 0.1, 0.0], 1e-3)
-        shared = {x1: [s.graph(x=(x1, x2))(xi2) for s in pulled[x1]] for x1 in pulled}
+        shared = {x1: [s.graph_fn.value(x1, x2, xi2) for s in pulled[x1]] for x1 in pulled}
         assert [round(x1, 12) for x1, _ in evaluations] == [0.1, 0.2]  # 0 -> 0.1 -> 0.3
         for x1 in (0.1, 0.3):
             (a_t, q1_t), (_, q2_t) = (conjugated_symbol(self.a_g, q_g, x1, 1e-3)
                                       for q_g in self.q_gs)
             for got, sym in zip(shared[x1], (a_t, q1_t, q2_t)):
-                want = sym.graph(x=(x1, x2))(xi2)
+                want = sym.graph_fn.value(x1, x2, xi2)
                 if x1 == 0.1:  # the first segment is the lone march of conjugated_symbol
                     assert np.array_equal(got, want)
                 else:  # 100 + 200 steps against 300
@@ -590,7 +590,8 @@ class TestBatchedContact:
         x = (self.x1, 0.0)
         xi0 = (float(a_g.value(self.x1, 0.0, 0.0)), 0.0)
         rep = contact_order(a_t, q_t, xi0, max_order=3, x=x)
-        oracle = scalar_contact_oracle(a_t.graph(x=x), q_t.graph(x=x), xi0, 3)
+        oracle = scalar_contact_oracle(functools.partial(a_t.graph_fn.value, *x),
+                                       functools.partial(q_t.graph_fn.value, *x), xi0, 3)
         assert rep == oracle
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ class TestContactOrder:
         a, q = circle_minus_one(), contact_perturbed_circle(2, 1.0)
         rep = contact_order(a, q, (1.0, 0.0), 5)
         assert rep.order == 2
-        g1, g2 = a.graph(xi0=(1.0, 0.0)), q.graph(xi0=(1.0, 0.0))
+        g1, g2 = (partial(s.graph_fn.value, 0.0, 0.0) for s in (a, q))
         oracle = fd_contact_oracle(g1, g2, 0.0, 3)
         assert rep.first_nonzero_derivative == pytest.approx(oracle, rel=1e-4)
         # curvature of the circle branch at the contact point
@@ -91,21 +92,24 @@ class TestContactOrder:
                           graph_symbol(graph_sum(graph_flat(), graph_monomial(1, 1.0))),
                           (0.0, 0.5), 3)  # graphs differ by 0.25 there
 
+    def test_point_off_the_first_graph_rejected(self):
+        # (5, 0) lies on neither curve, though g1 - g2 vanishes at xi2 = 0;
+        # the circle's graph is its upper branch, so (-1, 0) is off it
+        with pytest.raises(ContactError, match=r"\(5.0, 0.0\) is not on the graph"):
+            contact_order(graph_symbol(graph_flat()), flat_contact(1, 1.0), (5.0, 0.0), 4)
+        with pytest.raises(ContactError, match=r"\(-1.0, 0.0\) is not on the graph"):
+            contact_order(circle_minus_one(), contact_perturbed_circle(2, 1.0), (-1.0, 0.0), 4)
+
     def test_identical_graphs_infinite(self):
         rep = contact_order(circle_minus_one(), circle_minus_one(), (1.0, 0.0), 4)
         assert rep.order == math.inf
 
     def test_tolerance_band_flags_inconclusive(self):
         # derivative sitting inside [tol/10, tol] must be flagged
-        from qmlab.symbols import GraphBranch
-
         eps = 3e-9
-        wobbly = custom_symbol(
-            lambda x1, x2, xi1, xi2: np.asarray(xi1) - eps * np.asarray(xi2),
-            label="wobble",
-            graph=lambda x, xi0: GraphBranch(lambda t: eps * np.asarray(t),
-                                             lambda t, r: eps if r == 1 else 0.0),
-        )
+        jet = lambda x1, x2, xi2: (eps * np.asarray(xi2), None, None, None)
+        wobbly = graph_symbol(GraphFn("wobble", jet, False,
+                                      lambda x1, x2, xi2, r: eps if r == 1 else 0.0))
         rep = contact_order(graph_symbol(graph_flat()), wobbly, (0.0, 0.0), 3)
         assert rep.inconclusive
 
@@ -116,18 +120,14 @@ class TestContactOrder:
 
 class TestGraphOf:
     def test_circle_branch(self):
-        br = circle_minus_one().graph(xi0=(1.0, 0.0))
+        g = circle_minus_one().graph_fn
         t = np.linspace(-0.5, 0.5, 11)
-        np.testing.assert_allclose(br(t), np.sqrt(1 - t ** 2), atol=1e-14)
-
-    def test_negative_branch(self):
-        br = circle_minus_one().graph(xi0=(-1.0, 0.0))
-        assert br(0.0) == pytest.approx(-1.0)
+        np.testing.assert_allclose(g.value(0.0, 0.0, t), np.sqrt(1 - t ** 2), atol=1e-14)
 
     def test_flat_contact_branch(self):
-        br = flat_contact(2, 0.7).graph()
+        g = flat_contact(2, 0.7).graph_fn
         t = np.linspace(-1, 1, 7)
-        np.testing.assert_allclose(br(t), 0.7 * t ** 3, atol=1e-14)
+        np.testing.assert_allclose(g.value(0.0, 0.0, t), 0.7 * t ** 3, atol=1e-14)
 
     def test_custom_symbol_without_graph_refused(self):
         cubic = custom_symbol(lambda x1, x2, xi1, xi2: np.asarray(xi1) ** 3 - np.asarray(xi2),
@@ -542,12 +542,12 @@ class TestTermListOracle:
     def test_contact_perturbed_circle_bitwise(self, k, c):
         gval, gder = _oracle_perturbed_circle(k, c)
         sym = contact_perturbed_circle(k, c)
-        br = sym.graph()
+        g = sym.graph_fn
         t = self.XI2[0]
-        assert np.array_equal(br(t), gval(t))
+        assert np.array_equal(g.value(0.0, 0.0, t), gval(t))
         assert np.array_equal(sym.value(0.0, 0.0, 0.4, t), 0.4 - gval(t))
         for r in range(1, 6):
-            _same(br.derivative(t, r), gder(t, r), t.shape)
+            _same(g.xi2_derivative(0.0, 0.0, t, r), gder(t, r), t.shape)
 
     def test_terms_are_concatenated(self):
         g = graph_sum(graph_tilted_circle(0.3), graph_monomial(2, 0.5))
