@@ -21,7 +21,7 @@ from .config import ConfigError, parse_config, parse_graph_expr, run
 from .grid import read_field, write_field
 from .propagator import apply_w, quasimode_pushforward
 
-__all__ = ["main", "shipped_config_names", "load_shipped_config"]
+__all__ = ["main", "build_parser", "shipped_config_names", "load_shipped_config"]
 
 
 def shipped_config_names() -> list[str]:

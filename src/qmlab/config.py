@@ -33,9 +33,11 @@ __all__ = [
     "ExperimentConfig",
     "StageSpec",
     "AssertionSpec",
+    "AssertionResult",
     "parse_config",
     "parse_symbol_expr",
     "parse_graph_expr",
+    "evaluate_assertions",
     "run",
     "RunReport",
 ]
@@ -223,8 +225,7 @@ def _cwt_norms(ctx: _Context, k: int, a_min_pow: float = 0.6, a_max: float = 4.0
     rows[("cwt_worst_ratio", None, k, None, None)] = worst
     sel = (a >= h ** 0.6 * 0.999) & (a <= h ** 0.1 * 1.001)
     if np.count_nonzero(sel) >= 3:
-        fit = estimates.fit_power_law(
-            list(zip(a[sel], tab["bands"][sel, 0])), quantity="small_a")
+        fit = estimates.fit_power_law(list(zip(a[sel], tab["bands"][sel, 0])))
         rows[("cwt_small_a_slope", None, k, 0, None)] = fit.slope
 
 
@@ -359,6 +360,11 @@ _ASSERT_KEYS = {
     "ratio_spread": {"quantity", "limit"},
     "flag_all": {"quantity"},
 }
+_ASSERT_OPTIONAL = {"p", "k", "alpha", "tol"}
+# an assertion key's parse-time check; expected is a closed form or a number
+_ASSERT_CHECKS = {"quantity": _CHECKS["str"], "p": _real, "k": _integer, "alpha": _real,
+                  "tol": _real, "limit": _real, "expected": lambda key, v: (
+                      _closed_form(v) if isinstance(v, str) else _real(key, v))}
 
 
 def _parse_scalar(tok: str):
@@ -473,10 +479,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 if isinstance(value, list) or value not in _ASSERT_KEYS:
                     raise ValueError(f"unknown assertion kind {raw!r}")
                 payload.kind = value
-            elif key == "expected" and isinstance(value, str):
-                payload.params[key] = _closed_form(value)
+            elif key in _ASSERT_CHECKS:
+                payload.params[key] = _typed(key, value, raw, _ASSERT_CHECKS[key])
             else:
-                payload.params[key] = value
+                payload.params[key] = value  # refused below as unknown for its kind
         except ValueError as exc:
             errors.append(f"line {lineno}: {exc}")
 
@@ -516,8 +522,10 @@ def parse_config(text: str) -> ExperimentConfig:
     for spec in assertions:
         if not spec.kind:
             errors.append(f"assertion {spec.name!r} is missing its kind")
-        elif unknown := set(spec.params) - _ASSERT_KEYS.get(spec.kind, set()):
+        elif unknown := set(spec.params) - _ASSERT_KEYS[spec.kind]:
             errors.append(f"assertion {spec.name!r}: unknown keys {sorted(unknown)}")
+        elif missing := _ASSERT_KEYS[spec.kind] - _ASSERT_OPTIONAL - set(spec.params):
+            errors.append(f"assertion {spec.name!r} is missing its required keys {sorted(missing)}")
 
     if errors:
         raise ConfigError(errors)
@@ -594,24 +602,23 @@ def evaluate_assertions(cfg: ExperimentConfig, rows) -> list[AssertionResult]:
         kind, p = spec.kind, spec.params
         try:
             if kind in ("slope", "slope_min"):
-                data = _collect(rows, str(p["quantity"]), {s: p[s] for s in _SLOTS if s in p})
-                fit = estimates.fit_power_law(data, quantity=str(p["quantity"]))
-                expected = float(p["expected"])
-                tol = float(p.get("tol", 0.05))
+                data = _collect(rows, p["quantity"], {s: p[s] for s in _SLOTS if s in p})
+                fit = estimates.fit_power_law(data)
+                expected, tol = p["expected"], p.get("tol", 0.05)
                 ok = (abs(fit.slope - expected) <= tol if kind == "slope"
                       else fit.slope >= expected - tol)
                 results.append(AssertionResult(spec.name, kind, fit.slope, expected, tol, ok,
                                                f"residual={fit.residual:.3g}"))
             elif kind in ("value_max", "value_min", "ratio_spread"):
-                vals = _collect_all(rows, str(p["quantity"]))
-                limit = float(p["limit"])
+                vals = _collect_all(rows, p["quantity"])
+                limit = p["limit"]
                 measured = (max(vals) if kind == "value_max" else min(vals) if kind == "value_min"
                             else max(vals) / min(vals))
                 ok = measured >= limit if kind == "value_min" else measured <= limit
                 results.append(AssertionResult(spec.name, kind, measured, limit, None, ok,
                                                f"n={len(vals)}"))
             elif kind == "flag_all":
-                vals = _collect_all(rows, str(p["quantity"]))
+                vals = _collect_all(rows, p["quantity"])
                 ok = bool(vals) and all(v == 1.0 for v in vals)
                 results.append(AssertionResult(spec.name, kind,
                                                float(min(vals)) if vals else 0.0,

@@ -2,7 +2,7 @@
 
 The exponent functions return exact Fractions whenever the inputs are exact
 (int, Fraction, or infinity), so branch continuity and the sharpness
-identity can be asserted in rational arithmetic.  The convention is the
+identity can be asserted in rational arithmetic; a float p gives floats.  The convention is the
 positive one: norms grow like h^(-exponent), and a fitted log-log slope of a
 quantity against h is compared with -exponent.
 
@@ -67,14 +67,6 @@ def _inverse_p(p):
     return 1.0 / p
 
 
-def _half(ip):
-    return Fraction(1, 2) if isinstance(ip, Fraction) else 0.5
-
-
-def _quarter(ip):
-    return Fraction(1, 4) if isinstance(ip, Fraction) else 0.25
-
-
 def delta_p_k(p, k: int):
     """Growth exponent for a kth-order-contact joint quasimode.
 
@@ -84,20 +76,17 @@ def delta_p_k(p, k: int):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     ip = _inverse_p(p)
-    half = _half(ip)
     if ip <= Fraction(1, 6):
-        frac_k = Fraction(1, k + 1) if isinstance(ip, Fraction) else 1.0 / (k + 1)
-        return (half - 2 * ip) - frac_k * (half - 3 * ip)
-    return _quarter(ip) - ip / 2
+        return (Fraction(1, 2) - 2 * ip) - Fraction(1, k + 1) * (Fraction(1, 2) - 3 * ip)
+    return Fraction(1, 4) - ip / 2
 
 
 def sogge_delta(p):
     """Spectral-cluster growth exponent: 1/2 - 2/p above p = 6, 1/4 - 1/(2p) below."""
     ip = _inverse_p(p)
-    half = _half(ip)
     if ip <= Fraction(1, 6):
-        return half - 2 * ip
-    return _quarter(ip) - ip / 2
+        return Fraction(1, 2) - 2 * ip
+    return Fraction(1, 4) - ip / 2
 
 
 def mu_p_j(p, j: int):
@@ -106,8 +95,8 @@ def mu_p_j(p, j: int):
         raise ValueError(f"j must be >= 0, got {j}")
     ip = _inverse_p(p)
     if ip <= Fraction(1, 6):
-        return j * (_half(ip) - 3 * ip)
-    return Fraction(0) if isinstance(ip, Fraction) else 0.0
+        return j * (Fraction(1, 2) - 3 * ip)
+    return 0 * ip
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +110,10 @@ class ExponentFit:
     slope: float
     intercept: float
     residual: float  # max |log deviation|
-    h_values: tuple[float, ...]
-    quantity: str = ""
-    p: float | None = None
-
-    def __post_init__(self):
-        if len(self.h_values) < 2 or not np.isfinite(self.slope):
-            raise ValueError("fit needs >= 2 points and a finite slope")
 
 
-def fit_power_law(rows, quantity: str = "", p: float | None = None) -> ExponentFit:
-    """Fit value ~ C * h^slope from (h, value) pairs; >= 3 positive rows."""
+def fit_power_law(rows) -> ExponentFit:
+    """Fit value ~ C * h^slope from (h, value) pairs; >= 3 positive rows, finite slope."""
     rows = list(rows)
     if len(rows) < 3:
         raise ValueError(f"need >= 3 rows for a power-law fit, got {len(rows)}")
@@ -141,9 +123,10 @@ def fit_power_law(rows, quantity: str = "", p: float | None = None) -> ExponentF
         raise ValueError("power-law fit needs positive h and values")
     lh, lv = np.log(h), np.log(v)
     slope, intercept = np.polyfit(lh, lv, 1)
+    if not np.isfinite(slope):
+        raise ValueError("power-law fit needs a finite slope")
     residual = float(np.max(np.abs(lv - (slope * lh + intercept))))
-    return ExponentFit(float(slope), float(intercept), residual,
-                       tuple(float(x) for x in h), quantity, p)
+    return ExponentFit(float(slope), float(intercept), residual)
 
 
 @dataclass(frozen=True)
@@ -171,33 +154,33 @@ def run_sweep(pipeline, h_list) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class KernelSample:
-    """Sup over transverse offsets of the composed-window band kernel."""
+    """Sup over transverse offsets of the band kernel; the regime follows from (t, j, h, k)."""
 
     j: int
     a: float
     t: float
     sup_abs: float
-    regime: str  # "small_sep" | "large_sep"
     h: float
     k: int
 
     def __post_init__(self):
         if not np.isfinite(self.sup_abs) or self.sup_abs < 0:
             raise ValueError("kernel sample must be finite and >= 0")
-        expected = "small_sep" if self.t <= _regime_threshold(self.j, self.h, self.k) else "large_sep"
-        if self.regime != expected:
-            raise ValueError(f"regime {self.regime!r} inconsistent with t = {self.t}")
+
+    @property
+    def regime(self) -> str:
+        return "small_sep" if self.t <= _regime_threshold(self.j, self.h, self.k) else "large_sep"
 
 
 def _regime_threshold(j: int, h: float, k: int) -> float:
     return 2.0 ** (-2 * j) * h ** (1.0 - 2.0 / (k + 1))
 
 
-def _window_autocorrelation(w: WaveletSpec, tau: float, n: int = 1 << 12) -> float:
-    """Int f(u) f(u + tau) du by fine trapezoid on the common support."""
+def _window_autocorrelation(w: WaveletSpec, tau: float) -> float:
+    """Int f(u) f(u + tau) du by a 4096-node trapezoid on the common support."""
     cached = getattr(w, "_autocorr_samples", None)
-    if cached is None or len(cached[0]) != n:
-        u = np.linspace(-w.support, w.support, n)
+    if cached is None:
+        u = np.linspace(-w.support, w.support, 1 << 12)
         cached = (u, np.asarray(np.real(w.f(u)), dtype=float))
         object.__setattr__(w, "_autocorr_samples", cached)
     u, fu = cached
@@ -233,11 +216,10 @@ def kernel_sample(graph: GraphFn, w: WaveletSpec, part: DyadicPartition, j: int,
     if graph.x_dependent:
         raise ValueError(f"graph {graph.name!r} depends on x; kernel samples need a(xi) alone")
     h, k = part.h, part.k
-    regime = "small_sep" if t <= _regime_threshold(j, h, k) else "large_sep"
     if t < 0:
         raise ValueError("separation t must be >= 0")
     if t > 2.0 * a * w.support:
-        return KernelSample(j, a, t, 0.0, regime, h, k)
+        return KernelSample(j, a, t, 0.0, h, k)
     corr = a * _window_autocorrelation(w, t / a)
     intervals = _band_intervals(part, j)
     # transverse offsets: 0 and the stationary point delta = t a'(xi) at every probe point
@@ -267,7 +249,7 @@ def kernel_sample(graph: GraphFn, w: WaveletSpec, part: DyadicPartition, j: int,
             phase = _phi_difference(graph, t, deltas[s:s + rows, None], xi_q)
             total[s:s + rows] += np.sum(np.exp(1j * phase / h) * chi2, axis=1) * dxi
     sup = float(np.max(np.abs(total))) * abs(corr) / (2.0 * np.pi * h)
-    return KernelSample(j, a, t, sup, regime, h, k)
+    return KernelSample(j, a, t, sup, h, k)
 
 
 def default_kernel_samples(graph: GraphFn, w: WaveletSpec, part: DyadicPartition,
@@ -300,7 +282,6 @@ class KernelCheckReport:
     constants: dict       # least-squares (geometric mean) C per regime
     max_ratio: dict       # largest sample/bound ratio per regime
     min_ratio: dict
-    n_samples: dict
     passed: bool
     inconclusive: bool
 
@@ -322,11 +303,10 @@ def kernel_bound_check(samples: list[KernelSample], factor: float = 2.0) -> Kern
     for s in samples:
         if s.sup_abs > 0.0:
             groups[s.regime].append(s.sup_abs / _regime_bound(s))
-    constants, hi, lo, counts = {}, {}, {}, {}
+    constants, hi, lo = {}, {}, {}
     passed = True
     inconclusive = False
     for regime, ratios in groups.items():
-        counts[regime] = len(ratios)
         if not ratios:
             inconclusive = True
             continue
@@ -338,4 +318,4 @@ def kernel_bound_check(samples: list[KernelSample], factor: float = 2.0) -> Kern
             passed = False
     if inconclusive:
         passed = False
-    return KernelCheckReport(constants, hi, lo, counts, passed, inconclusive)
+    return KernelCheckReport(constants, hi, lo, passed, inconclusive)

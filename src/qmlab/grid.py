@@ -36,6 +36,7 @@ import numpy as np
 
 __all__ = [
     "GridSpec",
+    "GridError",
     "Field2D",
     "SpectralField2D",
     "semiclassical_fft",
@@ -44,6 +45,7 @@ __all__ = [
     "isfft1d",
     "lp_norm",
     "lp_norms",
+    "smoothstep",
     "write_field",
     "read_field",
 ]

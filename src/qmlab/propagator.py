@@ -56,7 +56,6 @@ __all__ = [
     "eikonal_residual",
     "apply_w",
     "apply_w_star",
-    "conjugated_symbol",
     "conjugated_symbols",
     "quasimode_pushforward",
 ]
@@ -140,22 +139,20 @@ class HamiltonianFlow:
     graph: GraphFn
     dt: float
     y_init: np.ndarray | None = None
-    xi_init: np.ndarray | None = None
     x1_values: np.ndarray | None = None
     xi_of: np.ndarray | None = None          # (n_save, nxi)
     dy_dy0: np.ndarray | None = None         # E
     y_shift: np.ndarray | None = None        # F
     action_slope: np.ndarray | None = None   # G
     action_shift: np.ndarray | None = None   # H
-    box_half_width: float | None = None
     exited_box: np.ndarray | None = None
     energy_drift: float = 0.0
 
     def evaluate(self, y0, xi0, x1: float):
-        """Flow arbitrary initial data to time x1 by re-integration of (y, xi) alone."""
+        """Flow arbitrary data to time x1 by re-integrating (y, xi), in steps of at most dt."""
         y0b, xi0b = np.broadcast_arrays(np.asarray(y0, dtype=float),
                                         np.asarray(xi0, dtype=float))
-        steps = max(1, int(round(abs(x1) / self.dt)))
+        steps = _n_steps(abs(x1), self.dt)
         return tuple(_rk4_march(_point_rhs, self.graph, [y0b, xi0b], 0.0, x1 / steps, steps))
 
 
@@ -216,10 +213,10 @@ def integrate_flow(a_graph: GraphFn, y_init: np.ndarray, xi_init: np.ndarray,
                 f"{int(exited.sum())} trajectories left the box [-{box_half_width}, "
                 f"{box_half_width}] by x1 = {times[-1]:.3g}", stacklevel=2)
     return HamiltonianFlow(
-        graph=a_graph, dt=dt, y_init=y_init, xi_init=xi_init, x1_values=times,
+        graph=a_graph, dt=dt, y_init=y_init, x1_values=times,
         xi_of=xi_of, dy_dy0=dy_dy0, y_shift=y_shift,
         action_slope=action_slope, action_shift=action_shift,
-        box_half_width=box_half_width, exited_box=exited, energy_drift=drift,
+        exited_box=exited, energy_drift=drift,
     )
 
 
@@ -238,7 +235,6 @@ class PhaseTable:
     graph: GraphFn
     h: float
     y_grid: np.ndarray
-    xi_grid: np.ndarray
     x1_values: np.ndarray
     phi: np.ndarray                 # (n_x1, ny, nxi)
     amp: np.ndarray | None = None   # half-density correction, None means b = 1
@@ -289,7 +285,7 @@ def build_phase(flow: HamiltonianFlow, grid: GridSpec,
     amp = (np.broadcast_to(flow.dy_dy0[:usable, None, :] ** -0.5, phi.shape)
            if transport_correction else None)
     return PhaseTable(
-        graph=flow.graph, h=grid.h, y_grid=y_grid, xi_grid=flow.xi_init,
+        graph=flow.graph, h=grid.h, y_grid=y_grid,
         x1_values=flow.x1_values[:usable], phi=phi, amp=amp,
         x1_max=float(horizon), caustic_limited=bool(caustic.any()),
     )
@@ -381,7 +377,7 @@ def apply_w_star(generator: GraphFn | PhaseTable, g: np.ndarray, x1: float,
 def _as_graph_fn(sym) -> GraphFn:
     if isinstance(sym, GraphFn):
         return sym
-    raise TypeError("conjugated_symbol needs GraphFn generators "
+    raise TypeError("conjugated_symbols needs GraphFn generators "
                     "(use graph_catalog / graph_* factories)")
 
 
@@ -425,11 +421,6 @@ def conjugated_symbols(a_graph: GraphFn, q_graphs, x1_list, dt: float) -> dict:
                                     lambda *_: None))
 
     return {x1: tuple(pullback(g, x1) for g in (a_graph, *q_graphs)) for x1 in x1_list}
-
-
-def conjugated_symbol(a_graph: GraphFn, q_graph: GraphFn, x1: float, dt: float):
-    """(a~, q~) of :func:`conjugated_symbols` at the one time x1."""
-    return conjugated_symbols(a_graph, [q_graph], [x1], dt)[x1]
 
 
 def quasimode_pushforward(graph: GraphFn, u: Field2D,

@@ -173,7 +173,6 @@ def build_t_alpha(spec: TAlphaSpec, grid: GridSpec) -> Field2D:
 class DefectReport:
     """||p1^M1 p2^M2 u|| / ||u|| together with its ratio to h^(M1+M2)."""
 
-    operator: str
     powers: tuple[int, int]
     defect: float
     h: float
@@ -184,7 +183,7 @@ class DefectReport:
             raise ValueError(f"defect must be finite and >= 0, got {self.defect}")
 
 
-def _defect_report(label: str, powers: tuple[int, int], factors, u: Field2D) -> DefectReport:
+def _defect_report(powers: tuple[int, int], factors, u: Field2D) -> DefectReport:
     """||p_last^M_last ... p_first^M_first u|| / ||u|| for factors [(p, M), ...].
 
     Each power is one :func:`apply_left_quantization`; while no factor depends
@@ -199,22 +198,21 @@ def _defect_report(label: str, powers: tuple[int, int], factors, u: Field2D) -> 
             v = apply_left_quantization(sym, v)
     d = v.l2_norm() / base
     h = u.grid.h
-    return DefectReport(label, powers, d, h, d / h ** sum(powers))
+    return DefectReport(powers, d, h, d / h ** sum(powers))
 
 
 def defect(op_sym: SymbolSpec, u: Field2D, M: int = 1) -> DefectReport:
     """Quasimode defect after M applications of p(x, hD)."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    return _defect_report(op_sym.label, (M, 0), [(op_sym, M)], u)
+    return _defect_report((M, 0), [(op_sym, M)], u)
 
 
 def joint_defect(p1: SymbolSpec, p2: SymbolSpec, u: Field2D, M1: int, M2: int) -> DefectReport:
     """Defect of the composition p1^M1 o p2^M2 applied to u."""
     if M1 < 0 or M2 < 0:
         raise ValueError("powers must be >= 0")
-    return _defect_report(f"{p1.label}^{M1} {p2.label}^{M2}", (M1, M2),
-                          [(p2, M2), (p1, M1)], u)
+    return _defect_report((M1, M2), [(p2, M2), (p1, M1)], u)
 
 
 def localization_check(u: Field2D, radius: float, side: str = "both") -> float:

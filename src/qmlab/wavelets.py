@@ -10,7 +10,7 @@ over positive scales only, so the effective reproducing constant is half of
 the two-sided admissibility integral C_f = Int |fhat|^2/|xi| dxi.
 
 The mother wavelet is the odd polynomial bump c * t (1 - t^2)^3 on [-1, 1]
-(zero mean by oddness, C^2, closed-form antiderivative).  A window's mean,
+(zero mean by oddness, C^2).  A window's mean,
 read by a fixed 640-point rule (10 Gauss-Legendre nodes on each of 64 panels
 of [-1, 1] times the support, exact per panel to degree 19), must not exceed
 1e-12.  Sampled analysis windows are re-centered to discrete zero mean over
@@ -74,22 +74,15 @@ class WaveletSpec:
 
     ``f`` must accept arrays; its mean, read by the 640-point Gauss-Legendre rule
     (exact on each of its 64 panels to degree 19), must not exceed 1e-12.
-    ``antiderivative`` g satisfies g' = -i f pointwise with g(+-support) = 0,
-    so f can be traded for a derivative under the pairing when bounds need it.
     """
 
     f: callable
-    antiderivative: callable
-    label: str = "wavelet"
     support: float = 1.0
 
     def __post_init__(self):
         mean = self.support * complex(np.dot(_MEAN_WEIGHTS, self.f(self.support * _MEAN_NODES)))
         if abs(mean) > 1e-12:
             raise ValueError(f"wavelet must have zero mean, got {mean:.3e}")
-        for t in (-self.support, self.support):
-            if abs(complex(self.antiderivative(t))) > 1e-12:
-                raise ValueError("antiderivative must vanish at the support endpoints")
 
 
 def default_wavelet() -> WaveletSpec:
@@ -100,12 +93,7 @@ def default_wavelet() -> WaveletSpec:
         w = 1.0 - t * t
         return np.where(np.abs(t) <= 1.0, _POLY_NORM * t * w ** 3, 0.0)
 
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        w = 1.0 - t * t
-        return np.where(np.abs(t) <= 1.0, 1j * _POLY_NORM * w ** 4 / 8.0, 0.0)
-
-    return WaveletSpec(f=f, antiderivative=g, label="odd_poly_bump")
+    return WaveletSpec(f=f)
 
 
 def admissibility_constant(w: WaveletSpec, n_samples: int = 1 << 18,
@@ -274,16 +262,16 @@ def cwt_roundtrip_error(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
 class DyadicPartition:
     """Smooth dyadic cutoffs at the contact frequency scale h^(1/(k+1)).
 
-    chi0 is supported in [-5/4, 5/4] (inside the required [-2, 2]) and chi in
-    [1/2, 5/4] (inside [1/2, 3/2]); the telescoping construction
-    chi(s) = Phi(s) - Phi(2s) makes the partition identity exact in floating
-    point on |xi2| <= 1.
+    Band 0 is the envelope Phi, supported in [-5/4, 5/4] (inside the required
+    [-2, 2]), and chi in [1/2, 5/4] (inside [1/2, 3/2]); the telescoping
+    construction chi(s) = Phi(s) - Phi(2s) makes the partition identity exact
+    in floating point on |xi2| <= 1.
     """
 
     h: float
     k: int
     J: int
-    transition_width: float = 0.25
+    transition_width = 0.25  # of Phi's edge; unannotated, so not a field
 
     def __post_init__(self):
         lam = 2.0 ** self.J * self.h ** (1.0 / (self.k + 1))
@@ -299,9 +287,6 @@ class DyadicPartition:
         u = np.abs(np.asarray(t, dtype=float))
         return 1.0 - smoothstep((u - 1.0) / self.transition_width)
 
-    def chi0(self, t) -> np.ndarray:
-        return self.envelope(t)
-
     def chi(self, s) -> np.ndarray:
         return self.envelope(s) - self.envelope(2.0 * np.asarray(s, dtype=float))
 
@@ -312,7 +297,7 @@ class DyadicPartition:
             raise ValueError(f"band index must be >= 0, got {j}")
         t = np.asarray(xi2, dtype=float) / self.scale
         if j == 0:
-            return self.chi0(t)
+            return self.envelope(t)
         return self.chi(np.abs(t) / 2.0 ** j)
 
 

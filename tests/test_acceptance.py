@@ -27,7 +27,7 @@ from qmlab.propagator import (
     apply_w,
     apply_w_star,
     build_phase,
-    conjugated_symbol,
+    conjugated_symbols,
     eikonal_residual,
     integrate_flow,
 )
@@ -252,7 +252,7 @@ class TestCriterion7:
         for k in (1, 2):
             q_g = graph_sum(a_g, graph_monomial(k, 1.0))
             for x1 in (0.1, 0.3):
-                a_t, q_t = conjugated_symbol(a_g, q_g, x1, 1e-3)
+                a_t, q_t = conjugated_symbols(a_g, [q_g], [x1], 1e-3)[x1]
                 xi0 = (float(a_g.value(x1, 0.0, 0.0)), 0.0)
                 rep = contact_order(a_t, q_t, xi0, max_order=k + 2, x=(x1, 0.0))
                 ok &= rep.order == k and not rep.inconclusive

@@ -1,6 +1,7 @@
 """Public API lists: every module's ``__all__`` resolves and star-imports."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -24,3 +25,15 @@ def test_all_names_resolve_and_star_import(name):
     ns = {}
     exec(f"from qmlab.{name} import *", ns)
     assert set(exported) <= set(ns)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_definitions_listed(name):
+    # the converse: a public function or class a module defines is in its __all__,
+    # so reading __all__ shows the whole public surface
+    mod = importlib.import_module(f"qmlab.{name}")
+    defined = [n for n, obj in vars(mod).items()
+               if not n.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
+               and obj.__module__ == mod.__name__]
+    unlisted = sorted(set(defined) - set(mod.__all__))
+    assert not unlisted, f"qmlab.{name} defines public names outside __all__: {unlisted}"

@@ -215,6 +215,25 @@ symbol = circle_minus_one
         with pytest.raises(ConfigError, match=f"line 15: {message}"):
             parse_config(text)
 
+    @pytest.mark.parametrize("body, message", [
+        # each of these used to parse: tol = true then read as 1.0 and passed the slope
+        ("kind = slope\nquantity = lp_norm\nexpected = -0.2\ntol = true",
+         "line 16: tol must be a real number, got True"),
+        ("kind = value_max\nquantity = lp_norm\nlimit = lots",
+         "line 15: limit must be a real number, got 'lots'"),
+        ("kind = slope\nquantity = lp_norm\np = 6 8\nexpected = -0.2",
+         "line 15: p takes one value, got '6 8'"),
+        ("kind = slope\nquantity = lp_norm\nk = 1.5\nexpected = -0.2",
+         "line 15: k must be an integer, got 1.5"),
+        ("kind = slope\nquantity = lp_norm\np = 8",
+         r"assertion 's' is missing its required keys \['expected'\]"),
+        ("kind = ratio_spread\nquantity = lp_norm",
+         r"assertion 's' is missing its required keys \['limit'\]"),
+    ])
+    def test_mistyped_or_missing_assertion_keys_refused(self, body, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(MINIMAL + f"\n[assert s]\n{body}\n")
+
     def test_duplicate_keys_refused(self):
         # the last value used to win silently
         with pytest.raises(ConfigError, match=r"duplicate key 'h_list' in \[experiment\]"):

@@ -174,8 +174,6 @@ class TestKernel:
         assert s.regime == "small_sep"
         s = kernel_sample(self.graph, W, self.part, 2, 0.5, 2 * thr)
         assert s.regime == "large_sep"
-        with pytest.raises(ValueError):
-            KernelSample(2, 0.5, 2 * thr, 1.0, "small_sep", self.h, 1)
 
     def test_non_oscillatory_bound_at_zero_separation(self):
         # |K_0(0)| <= (2 pi h)^{-1} a F(0) * band measure, by integrand modulus
@@ -206,12 +204,11 @@ class TestKernel:
         assert all(c_ref / 2 <= r <= 2 * c_ref for r in ratios)
 
     def test_bound_check_synthetic_pass(self):
-        synth = [KernelSample(j, 0.5, 0.01,
-                              _regime_bound(KernelSample(j, 0.5, 0.01, 1.0, "small_sep", self.h, 1)),
-                              "small_sep", self.h, 1) for j in (0, 1, 2)]
-        synth.append(KernelSample(1, 0.5, 0.4,
-                                  _regime_bound(KernelSample(1, 0.5, 0.4, 1.0, "large_sep", self.h, 1)),
-                                  "large_sep", self.h, 1))
+        synth = [KernelSample(j, 0.5, 0.01, _regime_bound(KernelSample(j, 0.5, 0.01, 1.0, self.h, 1)),
+                              self.h, 1) for j in (0, 1, 2)]
+        synth.append(KernelSample(1, 0.5, 0.4, _regime_bound(KernelSample(1, 0.5, 0.4, 1.0, self.h, 1)),
+                                  self.h, 1))
+        assert [s.regime for s in synth] == ["small_sep"] * 3 + ["large_sep"]
         rep = kernel_bound_check(synth)
         assert rep.passed
         assert rep.constants["small_sep"] == pytest.approx(1.0)
@@ -220,8 +217,8 @@ class TestKernel:
     def test_adversarial_sample_fails(self):
         samples = default_kernel_samples(self.graph, W, self.part,
                                          j_list=(0, 2), a_list=(0.5,))
-        bad_bound = _regime_bound(KernelSample(2, 0.5, 0.01, 1.0, "small_sep", self.h, 1))
-        samples.append(KernelSample(2, 0.5, 0.01, 10.0 * bad_bound, "small_sep", self.h, 1))
+        bad_bound = _regime_bound(KernelSample(2, 0.5, 0.01, 1.0, self.h, 1))
+        samples.append(KernelSample(2, 0.5, 0.01, 10.0 * bad_bound, self.h, 1))
         assert not kernel_bound_check(samples).passed
 
     def test_missing_regime_inconclusive(self):

@@ -18,7 +18,6 @@ from qmlab.propagator import (
     apply_w,
     apply_w_star,
     build_phase,
-    conjugated_symbol,
     conjugated_symbols,
     eikonal_residual,
     integrate_flow,
@@ -51,8 +50,7 @@ def closed_form_table(graph, grid, x1_values):
     x1_values = np.asarray(x1_values, dtype=float)
     phi = np.stack([grid.x_coords[:, None] * grid.xi_coords[None, :] - x1 * a_vals[None, :]
                     for x1 in x1_values])
-    return PhaseTable(graph=graph, h=grid.h, y_grid=grid.x_coords, xi_grid=grid.xi_coords,
-                      x1_values=x1_values, phi=phi)
+    return PhaseTable(graph=graph, h=grid.h, y_grid=grid.x_coords, x1_values=x1_values, phi=phi)
 
 
 class TestFlow:
@@ -415,7 +413,7 @@ class TestConjugation:
     def test_identity_at_zero_time(self):
         a_g = graph_tilted_circle(0.1)
         q_g = graph_sum(a_g, graph_monomial(1, 1.0))
-        _, q_t = conjugated_symbol(a_g, q_g, 0.0, 1e-3)
+        _, q_t = conjugated_symbols(a_g, [q_g], [0.0], 1e-3)[0.0]
         t = np.linspace(-0.3, 0.3, 7)
         np.testing.assert_allclose(q_t.graph_fn.value(0.0, 0.2, t),
                                    q_g.value(0.0, 0.2, t), atol=1e-12)
@@ -423,7 +421,7 @@ class TestConjugation:
     def test_constant_coefficient_conserved(self):
         a_g = graph_circle()
         q_g = graph_sum(a_g, graph_monomial(1, 1.0))
-        _, q_t = conjugated_symbol(a_g, q_g, 0.3, 1e-3)
+        _, q_t = conjugated_symbols(a_g, [q_g], [0.3], 1e-3)[0.3]
         t = np.linspace(-0.3, 0.3, 7)
         # xi2 conserved for x-independent a: pullback equals the original graph
         np.testing.assert_allclose(q_t.graph_fn.value(0.3, 0.0, t),
@@ -434,7 +432,7 @@ class TestConjugation:
         a_g = graph_tilted_circle(0.1)
         q_g = graph_sum(a_g, graph_monomial(k, 1.0))
         x1 = 0.1
-        a_t, q_t = conjugated_symbol(a_g, q_g, x1, 1e-3)
+        a_t, q_t = conjugated_symbols(a_g, [q_g], [x1], 1e-3)[x1]
         xi0 = (float(a_g.value(x1, 0.0, 0.0)), 0.0)
         rep = contact_order(a_t, q_t, xi0, max_order=k + 2, x=(x1, 0.0))
         assert rep.order == k
@@ -446,7 +444,7 @@ class TestConjugation:
         # a is autonomous, so a(x1, x2, xi2) labels the flowed a~(x2, xi2);
         # (0, 0) is the base point of the egorov stage
         a_g = graph_tilted_circle(0.1)
-        a_t, _ = conjugated_symbol(a_g, graph_sum(a_g, graph_monomial(1, 1.0)), x1, 1e-3)
+        a_t, _ = conjugated_symbols(a_g, [graph_sum(a_g, graph_monomial(1, 1.0))], [x1], 1e-3)[x1]
         flowed = float(a_t.graph_fn.value(x1, x2, xi2))
         assert abs(flowed - float(a_g.value(x1, x2, xi2))) <= 1e-12
 
@@ -456,7 +454,7 @@ class TestConjugation:
         x2, xi2 = np.linspace(-0.5, 0.5, 7), np.linspace(-0.3, 0.3, 7)
         for x1, dt in ((0.3, 1e-3), (0.25, 0.007)):  # 0.25 / 0.007 is no whole number
             fl = integrate_flow(a_g, x2, xi2, x1, dt=dt, save_at=[x1])
-            a_t, q_t = conjugated_symbol(a_g, q_g, x1, dt)
+            a_t, q_t = conjugated_symbols(a_g, [q_g], [x1], dt)[x1]
             X2, XI2 = mesh(x2, xi2)
             want = q_g.value(x1, flow_positions(fl)[-1], fl.xi_of[-1])
             assert np.array_equal(q_t.graph_fn.value(x1, X2, XI2), want)
@@ -466,7 +464,7 @@ class TestConjugation:
         for x1, dt in ((-0.1, 1e-3), (0.1, 0.0), (0.1, -1e-3), (0.1, float("nan")),
                        (float("nan"), 1e-3)):
             with pytest.raises(ValueError, match="x1 >= 0 and dt > 0"):
-                conjugated_symbol(a_g, a_g, x1, dt)
+                conjugated_symbols(a_g, [a_g], [x1], dt)[x1]
 
 
 class TestSharedPullback:
@@ -494,11 +492,11 @@ class TestSharedPullback:
         shared = {x1: [s.graph_fn.value(x1, x2, xi2) for s in pulled[x1]] for x1 in pulled}
         assert [round(x1, 12) for x1, _ in evaluations] == [0.1, 0.2]  # 0 -> 0.1 -> 0.3
         for x1 in (0.1, 0.3):
-            (a_t, q1_t), (_, q2_t) = (conjugated_symbol(self.a_g, q_g, x1, 1e-3)
+            (a_t, q1_t), (_, q2_t) = (conjugated_symbols(self.a_g, [q_g], [x1], 1e-3)[x1]
                                       for q_g in self.q_gs)
             for got, sym in zip(shared[x1], (a_t, q1_t, q2_t)):
                 want = sym.graph_fn.value(x1, x2, xi2)
-                if x1 == 0.1:  # the first segment is the lone march of conjugated_symbol
+                if x1 == 0.1:  # the first segment is the march of a lone x1
                     assert np.array_equal(got, want)
                 else:  # 100 + 200 steps against 300
                     assert np.max(np.abs(got - want)) <= 1e-13
@@ -568,7 +566,7 @@ class TestBatchedContact:
     def pullbacks(self):
         a_g = graph_tilted_circle(0.1)
         q_g = graph_sum(a_g, graph_monomial(1, 1.0))
-        return a_g, conjugated_symbol(a_g, q_g, self.x1, 1e-3)
+        return a_g, conjugated_symbols(a_g, [q_g], [self.x1], 1e-3)[self.x1]
 
     def test_one_flow_evaluation(self, pullbacks, monkeypatch):
         calls = []

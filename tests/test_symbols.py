@@ -9,7 +9,7 @@ import pytest
 
 from oracles import dense_left_quantization, plane_wave, random_field, xi_mesh
 from qmlab.grid import Field2D, GridSpec, semiclassical_fft
-from qmlab.propagator import conjugated_symbol
+from qmlab.propagator import conjugated_symbols
 from qmlab.quasimodes import defect, joint_defect
 from qmlab.symbols import (
     CIRCLE_SEAM,
@@ -259,7 +259,8 @@ class TestQuantization:
             sym = custom_symbol(lambda x1, x2, xi1, xi2: xi1 - 0.1 * x2 * xi2 ** 2,
                                 label="bent", x_dependent=True)
         elif kind == "pullback":
-            sym = conjugated_symbol(graph_tilted_circle(0.1), graph_circle(), 0.1, 1e-2)[0]
+            a_g = graph_tilted_circle(0.1)
+            sym = conjugated_symbols(a_g, [graph_circle()], [0.1], 1e-2)[0.1][0]
         else:
             def jet(x1, x2, xi2):
                 x2, xi2 = np.asarray(x2), np.asarray(xi2)
