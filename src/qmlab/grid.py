@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 MAGIC_FIELD = b"QML1"
-_BLOCK = 64  # x2 columns per synthesis block; of 16, 64, 256, the fastest at N = 1024, 2048
+_BLOCK = 64  # x2 columns per synthesis block or CWT walk; of 16, 64, 256 fastest at N = 1024, 2048
 
 
 class GridError(ValueError):

@@ -26,13 +26,16 @@ stride s then zero-stuffing folds the s aliases, (1/s) sum_r Y[(k mod M) + rM]
 with M = N/s, when s | N; other strides take one ifft/fft pair.  The
 pipeline reads it through :func:`cwt_roundtrip_error` (synthesis after
 analysis) and :func:`coefficient_norm_table` (per-scale, per-band norms).
-Both walk transposed (_BLOCK, N) slabs of x2 (or xi2) columns, every FFT on
-the contiguous x1 axis, in O(_BLOCK N) memory beside the (n_a, N) window spectra.
+Both walk transposed (_BLOCK // W, N) slabs of x2 (or xi2) columns on W threads (one
+per usable CPU, at most 4), every FFT on the contiguous x1 axis, in O(_BLOCK N) memory
+beside the (n_a, N) window spectra; no result depends on W (each row is summed alone).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,15 +75,18 @@ _MEAN_WEIGHTS = np.tile(_GL_W / 64.0, 64)
 class WaveletSpec:
     """Compactly supported zero-mean window on [-support, support].
 
-    ``f`` must accept arrays; its mean, read by the 640-point Gauss-Legendre rule
-    (exact on each of its 64 panels to degree 19), must not exceed 1e-12.
+    ``f`` must accept arrays and be real; its mean, read by the 640-point Gauss-Legendre
+    rule (exact on each of its 64 panels to degree 19), must not exceed 1e-12.
     """
 
     f: callable
     support: float = 1.0
 
     def __post_init__(self):
-        mean = self.support * complex(np.dot(_MEAN_WEIGHTS, self.f(self.support * _MEAN_NODES)))
+        if np.any(np.imag(values := self.f(self.support * _MEAN_NODES))):
+            raise ValueError(f"wavelet window {getattr(self.f, '__qualname__', self.f)} must be "
+                             "real-valued: the engine reads real samples")
+        mean = self.support * float(np.dot(_MEAN_WEIGHTS, np.real(values)))
         if abs(mean) > 1e-12:
             raise ValueError(f"wavelet must have zero mean, got {mean:.3e}")
 
@@ -116,17 +122,12 @@ def admissibility_constant(w: WaveletSpec, n_samples: int = 1 << 18,
     T = pad * w.support
     dt = 2.0 * T / n_samples
     t = -T + dt * np.arange(n_samples)
-    fs = np.zeros(n_samples, dtype=np.complex128)
+    fs = np.zeros(n_samples)
     inside = np.abs(t) <= w.support  # f vanishes outside its support
-    fs[inside] = w.f(t[inside])
-    m = np.arange(-n_samples // 2, n_samples // 2)
-    ph = np.where(m % 2 == 0, 1.0, -1.0)
-    fhat = dt * ph * np.fft.fftshift(np.fft.fft(fs))
-    xi = np.pi * m / T
-    pos = xi > 0
-    half = np.concatenate(([0.0], np.abs(fhat[pos]) ** 2 / xi[pos]))
-    grid_xi = np.concatenate(([0.0], xi[pos]))
-    c = 2.0 * float(np.trapezoid(half, grid_xi))
+    fs[inside] = np.real(w.f(t[inside]))
+    xi = np.pi * np.arange(1, n_samples // 2) / T  # xi > 0; |.| drops the sign (-1)^m of t_0 = -T
+    half = np.concatenate(([0.0], np.abs(dt * np.fft.rfft(fs)[1:n_samples // 2]) ** 2 / xi))
+    c = 2.0 * float(np.trapezoid(half, np.concatenate(([0.0], xi))))
     if not (np.isfinite(c) and c > 0):
         raise ValueError(f"admissibility constant must be finite and positive, got {c}")
     cache[key] = c
@@ -185,14 +186,42 @@ def _synthesis_weights(w: WaveletSpec, a_grid: np.ndarray, db: np.ndarray) -> np
     return da * db * a_grid ** -2.5 / (admissibility_constant(w) / 2.0)
 
 
-def _slabs(src: np.ndarray):
-    """The columns of ``src`` as transposed (_BLOCK, N) slabs in one buffer, tile by tile."""
-    buf = np.empty((min(_BLOCK, src.shape[1]), len(src)), dtype=np.complex128)
-    for c0 in range(0, src.shape[1], _BLOCK):
-        slab = buf[:min(_BLOCK, src.shape[1] - c0)]
-        for r0 in range(0, len(src), _BLOCK):
-            slab[:, r0:r0 + _BLOCK] = src[r0:r0 + _BLOCK, c0:c0 + _BLOCK].T
-        yield c0, slab
+def _worker_count() -> int:
+    """CPUs this process may use, at most _BLOCK // 16 (slabs of 16 columns or more)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, _BLOCK // 16))
+
+
+def _walk_slabs(src: np.ndarray, n_scratch: int, work) -> list:
+    """``work(c0, slab, *scratch)`` on the transposed (_BLOCK // W, N) slabs of ``src``'s columns,
+    W = :func:`_worker_count`: slabs 0, W, 2W, ... here, the rest on W - 1 helper threads, each
+    share in 1 + ``n_scratch`` buffers allocated here.  Results in column order, or a failure."""
+    n_rows, n_cols = src.shape
+    width = min(_BLOCK // (workers := _worker_count()), n_cols)
+    starts = range(0, n_cols, width)
+    shares = min(workers, len(starts))
+    bufs = np.empty((shares, 1 + n_scratch, width, n_rows), dtype=np.complex128)
+    results, failures = [None] * len(starts), []
+
+    def share(k):
+        try:
+            for j in range(k, len(starts), shares):
+                slab, *scratch = bufs[k, :, :min(width, n_cols - starts[j])]
+                for r0 in range(0, n_rows, _BLOCK):
+                    slab[:, r0:r0 + _BLOCK] = src[r0:r0 + _BLOCK, starts[j]:starts[j] + width].T
+                results[j] = work(starts[j], slab, *scratch)
+        except BaseException as exc:  # raised below, in this thread, once all shares stop
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=share, args=(k,)) for k in range(1, shares)]
+    for t in helpers:
+        t.start()
+    share(0)
+    for t in helpers:
+        t.join()
+    if failures:
+        raise failures[0]
+    return results
 
 
 def _stuffed_spectrum(y: np.ndarray, stride: int) -> np.ndarray:
@@ -215,7 +244,7 @@ def cwt_roundtrip_error(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
     """Relative L^2 error of synthesis-after-analysis, summed in the x1 spectrum.
 
     Synthesis of the analysis slices (trapezoid da, per-scale uniform db, weight
-    a^{-5/2} / (C_f / 2)) slab by slab, in three slabs of memory; ``b_max_step``
+    a^{-5/2} / (C_f / 2)) slab by slab, three slabs per thread; ``b_max_step``
     caps the translation step below a/4.  A stride s | N joins the largest stride
     S | N it divides, M = N/S: out[q + r'M] += sum_r T[r', r, q] vhat[q + rM] with
     T = sum_a syn_a[q + r'M] an_a[q + rM] / s over r' = r mod S/s, one table built
@@ -236,11 +265,9 @@ def cwt_roundtrip_error(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
         same = np.subtract.outer(np.arange(big), np.arange(big)) % (big // s) == 0
         pair = (c[strides == s].reshape(-1, big, n // big) for c in (syn, an))
         tables[big] = tables.get(big, 0.0) + same[..., None] * np.einsum("iam,ibm->abm", *pair) / s
-    out, buf = np.empty((2, min(_BLOCK, n), n), dtype=np.complex128)
-    err2 = norm2 = 0.0
-    for _, x in _slabs(v.values):
+
+    def slab(_, x, o, y):
         np.fft.fft(x, out=x)
-        o, y = out[:len(x)], buf[:len(x)]
         o[...] = 0.0
         for t in tables.values():
             o += np.einsum("abm,kbm->kam", t, x.reshape(len(x), len(t), -1),
@@ -249,8 +276,9 @@ def cwt_roundtrip_error(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
             z = _stuffed_spectrum(np.multiply(x, an[i], out=y), strides[i])
             o += np.multiply(z, syn[i], out=z)
         o -= x
-        err2 += np.vdot(o, o).real
-        norm2 += np.vdot(x, x).real
+        return [np.einsum("ij,ij->i", z.view(np.float64), z.view(np.float64)) for z in (o, x)]
+
+    err2, norm2 = (np.concatenate(rows).sum() for rows in zip(*_walk_slabs(v.values, 2, slab)))
     return float(np.sqrt(err2 / norm2))
 
 
@@ -329,18 +357,20 @@ def coefficient_norm_table(v: Field2D, w: WaveletSpec, a_grid: np.ndarray,
     strides = np.array([_b_stride(g, a, None) for a in a_grid])
     power = np.empty((len(a_grid), n))  # over b, per (scale, xi2)
     pending = v.samples_pending
-    for c0, x in _slabs(v.spectrum.values if pending else np.fft.fft(v.values, axis=1)):
+
+    def slab(c0, x, y):
         cols = (np.arange(c0, c0 + len(x)) + (0 if pending else n // 2)) % n
         if pending:
             x[...] = np.fft.ifftshift(x, axes=1) * rescale
         else:  # sfft1d's scale and shift (cols), per slab; its signs leave the power as is
             x *= g.dx / np.sqrt(2.0 * np.pi * g.h)
             np.fft.fft(x, out=x)
-        y = np.empty_like(x)
         for i, s in enumerate(strides):
             z = np.multiply(x, an[i], out=y)
             z = np.fft.ifft(z, out=z)[:, ::s].copy() if n % s else _stuffed_spectrum(z, s)
             power[i, cols] = np.einsum("ij,ij->i", z.view(np.float64), z.view(np.float64))
+
+    _walk_slabs(v.spectrum.values if pending else np.fft.fft(v.values, axis=1), 1, slab)
     # Parseval over a fold of M = N/s points divides by M
     power *= (np.where(n % strides, 1.0, strides / n) * strides * g.dx * g.dxi)[:, None]
     bands = np.sqrt(np.sum(power[:, None, :] * mults2, axis=-1))

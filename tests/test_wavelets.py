@@ -1,12 +1,17 @@
 """Wavelet layer: admissibility, transform identities, dyadic cutoffs."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import partition_sum
+from qmlab import wavelets
 from qmlab.grid import (
     _BLOCK,
     Field2D,
@@ -27,7 +32,7 @@ from qmlab.wavelets import (
     make_partition,
 )
 from qmlab.wavelets import (_analysis_spectra, _stuffed_spectrum, _synthesis_weights,
-                             _window_samples)
+                             _walk_slabs, _window_samples)
 
 W = default_wavelet()
 
@@ -56,6 +61,15 @@ class TestWaveletSpec:
         # Int 1e-9 (1 - t^2) = 1.33e-9, above the 1e-12 threshold
         with pytest.raises(ValueError, match="zero mean, got 1.333e-09"):
             WaveletSpec(f=lambda t: W.f(t) + 1e-9 * (1.0 - np.asarray(t) ** 2))
+
+    def test_complex_window_refused(self):
+        # the engine reads real window samples, so an imaginary part is refused
+        def chirp(t):
+            return W.f(t) * np.exp(0.5j * np.asarray(t))
+
+        with pytest.raises(ValueError, match="window .*chirp must be real-valued"):
+            WaveletSpec(f=chirp)
+        WaveletSpec(f=lambda t: W.f(t) + 0j)  # complex dtype, zero imaginary part
 
     def test_asymmetric_wavelet_accepted(self):
         # zero mean though not odd: only the rule's accuracy makes it pass
@@ -538,3 +552,73 @@ def test_roundtrip_holds_no_square_array():
     finally:
         tracemalloc.stop()
     assert peak < 1024 ** 2 * 16 / 4
+
+
+@pytest.mark.parametrize("n", [48, 80, 512])
+def test_results_do_not_depend_on_worker_count(n, monkeypatch):
+    # slabs of at most 64, 32, 21 and 16 columns; every row's arithmetic is the same, so the
+    # table and the error are bitwise equal (4 shares, more than the cores, under a
+    # short switch interval: a lost or misplaced slab would change them)
+    a_grid = TestSlabEdges.a_grid
+    sampled = TestSlabEdges().field(n)
+    pending = semiclassical_ifft(semiclassical_fft(sampled))
+    part = make_partition(sampled.grid.h, 1)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(wavelets, "_worker_count", lambda: workers)
+            tabs = [coefficient_norm_table(u, W, a_grid, part) for u in (pending, sampled)]
+            got.append((tabs, cwt_roundtrip_error(sampled, W, a_grid)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert pending.samples_pending
+    (want, err), rest = got[0], got[1:]
+    for tabs, e in rest:
+        for tab, ref in zip(tabs, want):
+            assert np.array_equal(tab["total"], ref["total"])
+            assert np.array_equal(tab["bands"], ref["bands"])
+        assert e == err
+
+
+@pytest.mark.parametrize("failing, walked", [(64, [0, 32, 96, 160, 224]),
+                                              (96, [0, 32, 64, 128, 192])],
+                         ids=["caller", "helper"])
+def test_slab_failure_reaches_caller(failing, walked, monkeypatch):
+    # two shares of 32-column slabs: the caller walks c0 = 0, 64, ..., the helper
+    # c0 = 32, 96, ...; the share that does not fail runs to its end
+    monkeypatch.setattr(wavelets, "_worker_count", lambda: 2)
+    done = []
+
+    def work(c0, slab):
+        if c0 == failing:
+            raise RuntimeError(f"slab at column {c0}")
+        done.append(c0)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"slab at column {failing}"):
+        _walk_slabs(np.zeros((8, 256), complex), 0, work)
+    assert threading.active_count() == before
+    assert sorted(done) == walked
+
+
+def test_roundtrip_error_does_not_depend_on_blas_threads():
+    # acceptance 4b's field: the error's sums are NumPy's own row sums, not a BLAS
+    # dot product, whose partial sums follow its thread count
+    code = (
+        "import numpy as np\n"
+        "from qmlab.grid import Field2D, GridSpec\n"
+        "from qmlab.wavelets import cwt_roundtrip_error, default_scale_grid, default_wavelet\n"
+        "g = GridSpec(3.0, 1024, 0.05)\n"
+        "x1, x2 = g.x_mesh()\n"
+        "v = Field2D(g, np.exp(6j * x1 - x1 ** 2 / (2 * 0.7 ** 2) - x2 ** 2 / (2 * 0.5 ** 2)))\n"
+        "a_grid = default_scale_grid(1.0 / 72.0, 8.0)\n"
+        "print(repr(cwt_roundtrip_error(v, default_wavelet(), a_grid, b_max_step=1.0 / 40.0)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(wavelets.__file__))
+    out = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src,
+                                          "OPENBLAS_NUM_THREADS": threads}).stdout
+           for threads in ("1", "2")]
+    assert out[0] == out[1]
